@@ -23,13 +23,13 @@ verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 
 # bench times full study runs — cold and warm cache, workers=1 vs
-# NumCPU, batch vs streaming — and writes the machine-readable report
+# NumCPU, streaming and sharded — and writes the machine-readable report
 # (per-case peak heap, allocs/project, alloc bytes/project) CI archives
 # with every build, plus a ledger manifest 'coevo runs diff' can compare
-# across builds. The Go benchmark pass adds the streaming-vs-batch
-# allocation profile. BENCH_SHARDS adds the sharded partition/merge
-# cell (the perf gate's own bench run omits it so its matrix shape
-# matches pre-shard baselines).
+# across builds. The Go benchmark pass adds the streaming-vs-collect-all
+# heap profile. BENCH_SHARDS adds the sharded partition/merge cell (the
+# perf gate's own bench run omits it so its matrix shape stays
+# comparable to pre-shard baselines).
 BENCH_OUT ?= BENCH_pr7.json
 BENCH_SHARDS ?= 3
 RUNLOG_DIR ?= runs
@@ -80,10 +80,9 @@ TRACE_SMOKE_WORK ?= trace-smoke-work
 trace-smoke:
 	./scripts/trace-smoke.sh $(TRACE_SMOKE_ADDR) $(TRACE_SMOKE_WORK)
 
-# stream-smoke runs a corpus ~10x the paper's through the streaming
-# pipeline under a GOMEMLIMIT the batch path cannot fit in, and asserts
-# the ledger-recorded peak heap stayed under the cap (CHECK_BATCH=1 also
-# proves batch exceeds it).
+# stream-smoke runs a corpus ~10x the paper's through the study under a
+# GOMEMLIMIT a collect-all run cannot fit in, and asserts the
+# ledger-recorded peak heap stayed under the cap.
 STREAM_SMOKE_PER_TAXON ?= 334
 STREAM_SMOKE_RUNLOG ?= stream-smoke-runs
 

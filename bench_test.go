@@ -70,7 +70,7 @@ func BenchmarkFig3JointDiagrams(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range exemplars {
-			if err := coevo.WriteJointProgress(io.Discard, p.Name, p.Joint); err != nil {
+			if err := coevo.Render(io.Discard, coevo.JointProgressFigure{Title: p.Name, Progress: p.Joint}, coevo.Text); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -551,10 +551,11 @@ func BenchmarkStudyWarmCache(b *testing.B) {
 
 // BenchmarkStudyStreaming measures the fused generate→analyze stream over
 // the full 195-project corpus with online figure aggregation, against the
-// batch collect-all pipeline doing the same work. Each sub-benchmark
-// reports its sampled live-heap high-water mark (peak_heap_mib, watermark
-// reset after a forced GC each iteration); run with -benchmem for the
-// allocation totals. The pair quantifies the streaming memory win.
+// same stream collected into a Dataset (RunStudyContext). Each
+// sub-benchmark reports its sampled live-heap high-water mark
+// (peak_heap_mib, watermark reset after a forced GC each iteration); run
+// with -benchmem for the allocation totals. The pair quantifies what
+// holding every result costs.
 func BenchmarkStudyStreaming(b *testing.B) {
 	measure := func(b *testing.B, run func(opts coevo.Options) int) uint64 {
 		b.Helper()

@@ -22,11 +22,10 @@ import (
 // benchCase is one timed study run of the benchmark matrix.
 type benchCase struct {
 	Name string `json:"name"`
-	// Mode is "batch" (materialize the corpus, then analyze), "stream"
-	// (fused generate→analyze with online aggregation) or "shard"
-	// (residue-class partitions folded separately, then merged through
-	// the sealed partial-figures codec — the scale-out data path minus
-	// the network).
+	// Mode is "stream" (fused generate→analyze with online aggregation)
+	// or "shard" (residue-class partitions folded separately, then merged
+	// through the sealed partial-figures codec — the scale-out data path
+	// minus the network).
 	Mode     string  `json:"mode"`
 	Cache    string  `json:"cache"` // "cold" or "warm"
 	Workers  int     `json:"workers"`
@@ -72,13 +71,13 @@ type benchReport struct {
 }
 
 // runBench times full study runs — cold and warm cache, serial and
-// parallel, batch and streaming — and writes a machine-readable JSON
-// report, so CI can archive the toolkit's performance envelope alongside
-// every build. Each case records its peak sampled heap next to its wall
-// time, making the streaming mode's memory bound measurable. With
-// -runlog-dir the run also lands in the persistent ledger (each case's
-// wall time as a stage), where 'coevo runs diff' flags timing
-// regressions between bench runs.
+// parallel, streaming and (with -shards) sharded — and writes a
+// machine-readable JSON report, so CI can archive the toolkit's
+// performance envelope alongside every build. Each case records its peak
+// sampled heap next to its wall time, making the streaming memory bound
+// measurable. With -runlog-dir the run also lands in the persistent
+// ledger (each case's wall time as a stage), where 'coevo runs diff'
+// flags timing regressions between bench runs.
 func runBench(ctx context.Context, args []string) error {
 	fs := newFlagSet("bench")
 	out := fs.String("out", "BENCH_pr7.json", "write the benchmark report JSON to this path")
@@ -111,8 +110,6 @@ func runBench(ctx context.Context, args []string) error {
 	runOnce := func(mode string, workers int, c *cache.Cache) (caseRun, error) {
 		cfg := corpus.DefaultConfig(*seed)
 		cfg.Profiles = profiles
-		cfg.Exec.Workers = workers
-		cfg.Exec.OnEvent = sample
 		cfg.Cache = c
 		opts := study.DefaultOptions()
 		opts.Exec.Workers = workers
@@ -129,41 +126,29 @@ func runBench(ctx context.Context, args []string) error {
 		if mode == "shard" {
 			// The full sharded data path, in process: each residue-class
 			// partition streams through its own fused pipeline, and the
-			// sealed partials round-trip the codec before merging — what
-			// a coordinator pays per shard, minus the network hop.
-			combined := study.NewFigures()
-			for k := 0; k < *benchShards; k++ {
+			// sealed partials round-trip the codec in shard.Merge — what a
+			// coordinator pays per shard, minus the network hop.
+			resps := make([]*shard.RunResponse, *benchShards)
+			for k := range resps {
 				w := &shard.Worker{Cache: c, Workers: workers}
 				resp, err := w.Run(ctx, &shard.RunRequest{Seed: *seed, PerTaxon: *perTaxon, Shard: k, Of: *benchShards})
 				if err != nil {
 					return caseRun{}, err
 				}
-				part, err := study.DecodePartialFigures(resp.Figures)
-				if err != nil {
-					return caseRun{}, err
-				}
-				if err := combined.Merge(part); err != nil {
-					return caseRun{}, err
-				}
-				n += resp.Projects
+				resps[k] = resp
 				proc.Sample()
 			}
-		} else if mode == "stream" {
+			res, err := shard.Merge(resps)
+			if err != nil {
+				return caseRun{}, err
+			}
+			n = res.Projects
+		} else {
 			sum, err := study.StreamCorpus(ctx, corpus.NewSource(cfg), study.NewFigures(), opts)
 			if err != nil {
 				return caseRun{}, err
 			}
 			n = sum.Projects
-		} else {
-			projects, err := corpus.GenerateContext(ctx, cfg)
-			if err != nil {
-				return caseRun{}, err
-			}
-			d, err := study.AnalyzeCorpusContext(ctx, projects, opts)
-			if err != nil {
-				return caseRun{}, err
-			}
-			n = d.Size()
 		}
 		secs := time.Since(start).Seconds()
 		proc.Sample()
@@ -199,7 +184,7 @@ func runBench(ctx context.Context, args []string) error {
 	var totalHits, totalMisses int64
 	var peakHeap uint64
 	for _, workers := range workerSettings {
-		modes := []string{"batch", "stream"}
+		modes := []string{"stream"}
 		if *benchShards > 0 {
 			modes = append(modes, "shard")
 		}
@@ -209,11 +194,8 @@ func runBench(ctx context.Context, args []string) error {
 			// shard cell shares one cache across its in-process workers, as
 			// the remote tier does across real ones.
 			c := cache.NewMemory()
-			prefix := "study"
-			switch mode {
-			case "stream":
-				prefix = "study-stream"
-			case "shard":
+			prefix := "study-stream"
+			if mode == "shard" {
 				prefix = fmt.Sprintf("study-shard%d", *benchShards)
 			}
 			for _, phase := range []string{"cold", "warm"} {

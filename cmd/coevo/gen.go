@@ -11,15 +11,13 @@ import (
 	"coevo/internal/taxa"
 )
 
-// runGen generates the corpus and summarizes it per taxon. The default
-// streaming mode visits projects in corpus order and releases each one
-// after it is counted (and listed), so the whole corpus is never
-// resident; -stream=false keeps the collect-all path.
+// runGen generates the corpus and summarizes it per taxon. Projects are
+// visited in corpus order and each one is released after it is counted
+// (and listed), so the whole corpus is never resident.
 func runGen(ctx context.Context, args []string) error {
 	fs := newFlagSet("gen")
 	seed := fs.Int64("seed", 2023, "corpus generation seed")
 	list := fs.Bool("list", false, "list every generated project")
-	streamMode := fs.Bool("stream", true, "generate and summarize one project at a time instead of materializing the corpus")
 	dialect := dialectFlag(fs)
 	buildPipeline := pipelineFlags(fs)
 	if ok, err := parseFlags(fs, args); !ok {
@@ -59,18 +57,8 @@ func runGen(ctx context.Context, args []string) error {
 		return nil
 	}
 
-	var n int
-	if *streamMode {
-		n, err = corpus.EachContext(ctx, cfg, visit)
-	} else {
-		var projects []*corpus.Project
-		projects, err = corpus.GenerateContext(ctx, cfg)
-		for _, pr := range projects {
-			visit(pr) //nolint:errcheck // visit never fails here
-		}
-		n = len(projects)
-	}
-	p.recordProjects(n)
+	n, err := corpus.EachContext(ctx, cfg, visit)
+	p.recordRun(n, nil)
 	ferr := p.finish(ctx, err)
 	if err != nil {
 		return err

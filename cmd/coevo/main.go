@@ -159,15 +159,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (run bool, err error) {
 }
 
 // reportInterrupted summarizes a cancelled corpus run on stderr: what the
-// engine finished before the context fired is still a (partial) dataset.
-func reportInterrupted(d *study.Dataset, err error) {
-	if d == nil {
-		return
-	}
-	reportInterruptedCounts(d.Size(), len(d.Failures), err)
-}
-
-func reportInterruptedCounts(analyzed, failed int, err error) {
+// engine finished before the context fired is still a partial result.
+func reportInterrupted(analyzed, failed int, err error) {
 	fmt.Fprintf(os.Stderr, "interrupted (%v): %d projects analyzed, %d failed before cancellation\n",
 		err, analyzed, failed)
 }
@@ -175,14 +168,8 @@ func reportInterruptedCounts(analyzed, failed int, err error) {
 // reportFailures summarizes a partial study on stderr and decides the
 // run's fate: per-project failures are tolerated (the paper's population
 // figures degrade gracefully), but a study where every project failed
-// returns an error.
-func reportFailures(d *study.Dataset) error {
-	return reportFailureList(d.Size(), d.Failures)
-}
-
-// reportFailureList is reportFailures over the streaming run's summary
-// shape: analyzed is the count of successfully delivered projects.
-func reportFailureList(analyzed int, failures []study.Failure) error {
+// returns an error. analyzed counts the successfully measured projects.
+func reportFailures(analyzed int, failures []study.Failure) error {
 	if len(failures) == 0 {
 		return nil
 	}

@@ -129,7 +129,7 @@ func TestBenchSubcommand(t *testing.T) {
 	out := filepath.Join(dir, "bench.json")
 	ledger := filepath.Join(dir, "runs")
 	if err := runBench(context.Background(), []string{"-out", out, "-per-taxon", "1", "-seed", "7",
-		"-runlog-dir", ledger}); err != nil {
+		"-shards", "2", "-runlog-dir", ledger}); err != nil {
 		t.Fatalf("bench: %v", err)
 	}
 	raw, err := os.ReadFile(out)
@@ -182,7 +182,7 @@ func TestBenchSubcommand(t *testing.T) {
 	if m.Command != "bench" || m.Outcome != "ok" || m.Projects != 6 {
 		t.Errorf("bench manifest = %+v", m)
 	}
-	if m.StageSeconds["study/cold/workers=1"] <= 0 || m.StageSeconds["study/warm/workers=1"] <= 0 {
+	if m.StageSeconds["study-stream/cold/workers=1"] <= 0 || m.StageSeconds["study-shard2/warm/workers=1"] <= 0 {
 		t.Errorf("bench stages = %v", m.StageSeconds)
 	}
 	if m.Cache == nil || m.Cache.Hits == 0 {
@@ -226,20 +226,14 @@ func TestCacheSubcommand(t *testing.T) {
 }
 
 func TestReportFailures(t *testing.T) {
-	if err := reportFailures(&study.Dataset{}); err != nil {
+	if err := reportFailures(0, nil); err != nil {
 		t.Errorf("no failures should be silent: %v", err)
 	}
-	partial := &study.Dataset{
-		Projects: []*study.ProjectResult{{Name: "ok"}},
-		Failures: []study.Failure{{Name: "bad", Err: io.ErrUnexpectedEOF}},
-	}
-	if err := reportFailures(partial); err != nil {
+	bad := []study.Failure{{Name: "bad", Err: io.ErrUnexpectedEOF}}
+	if err := reportFailures(1, bad); err != nil {
 		t.Errorf("partial failure must not be fatal: %v", err)
 	}
-	allFailed := &study.Dataset{
-		Failures: []study.Failure{{Name: "bad", Err: io.ErrUnexpectedEOF}},
-	}
-	if err := reportFailures(allFailed); err == nil {
+	if err := reportFailures(0, bad); err == nil {
 		t.Error("a study where every project failed must error")
 	}
 }

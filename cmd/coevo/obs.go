@@ -229,29 +229,15 @@ func (p *pipeline) snapshotEvent(scope string) snapshotEvent {
 	}
 }
 
-// recordDataset notes the analyzed corpus in the run manifest: project
-// and failure counts plus the per-project failure summary.
-func (p *pipeline) recordDataset(d *study.Dataset) {
-	if p.manifest == nil || d == nil {
+// recordRun notes a run's coverage in the manifest: project and failure
+// counts plus the per-project failure summary.
+func (p *pipeline) recordRun(projects int, failures []study.Failure) {
+	if p.manifest == nil {
 		return
 	}
-	p.manifest.Projects = d.Size()
-	p.manifest.Failed = len(d.Failures)
-	for _, f := range d.Failures {
-		p.manifest.Failures = append(p.manifest.Failures,
-			runlog.FailureSummary{Name: f.Name, Err: f.Err.Error()})
-	}
-}
-
-// recordStream notes a streaming run's coverage in the run manifest —
-// the counterpart of recordDataset for runs that never hold a Dataset.
-func (p *pipeline) recordStream(s *study.StreamSummary) {
-	if p.manifest == nil || s == nil {
-		return
-	}
-	p.manifest.Projects = s.Projects
-	p.manifest.Failed = len(s.Failures)
-	for _, f := range s.Failures {
+	p.manifest.Projects = projects
+	p.manifest.Failed = len(failures)
+	for _, f := range failures {
 		p.manifest.Failures = append(p.manifest.Failures,
 			runlog.FailureSummary{Name: f.Name, Err: f.Err.Error()})
 	}
@@ -259,31 +245,19 @@ func (p *pipeline) recordStream(s *study.StreamSummary) {
 
 // recordSharded notes a coordinated sharded run in the manifest: the
 // whole-study coverage, the per-shard run summaries, and the
-// across-shard failure, cache and stage sums — so `coevo runs diff` and
-// the perf gate compare whole-study numbers, not the coordinator's
-// (empty) local view.
+// across-shard cache and stage sums — so `coevo runs diff` and the perf
+// gate compare whole-study numbers, not the coordinator's (empty) local
+// view.
 func (p *pipeline) recordSharded(res *shard.Result, shards int) {
 	if p.manifest == nil || res == nil {
 		return
 	}
-	p.manifest.Projects = res.Projects
-	p.manifest.Failed = len(res.Failures)
-	for _, f := range res.Failures {
-		p.manifest.Failures = append(p.manifest.Failures,
-			runlog.FailureSummary{Name: f.Name, Err: f.Err.Error()})
-	}
+	p.recordRun(res.Projects, res.Failures)
 	p.manifest.Shards = shards
 	p.manifest.ShardRuns = res.Shards
 	p.manifest.TraceID = res.TraceID
 	p.manifest.Cache = res.Cache
 	p.manifest.StageSeconds = res.StageSeconds
-}
-
-// recordProjects notes a project count for runs without a Dataset (gen).
-func (p *pipeline) recordProjects(n int) {
-	if p.manifest != nil {
-		p.manifest.Projects = n
-	}
 }
 
 // sealManifest fills the manifest's run summary from the metrics
@@ -308,18 +282,7 @@ func (p *pipeline) sealManifest(runErr error) error {
 			}
 		}
 		if c := s.Cache; c != nil && m.Cache == nil {
-			cs := &runlog.CacheStats{
-				Hits: c.Hits, Misses: c.Misses, MemoryHits: c.MemoryHits,
-				DiskHits: c.DiskHits, RemoteHits: c.RemoteHits,
-				RemoteMisses: c.RemoteMisses, Puts: c.Puts, Corrupt: c.Corrupt,
-				BytesRead: c.BytesRead, BytesWritten: c.BytesWritten,
-				RemoteBytesRead:    c.RemoteBytesRead,
-				RemoteBytesWritten: c.RemoteBytesWritten,
-			}
-			if total := c.Hits + c.Misses; total > 0 {
-				cs.HitRate = float64(c.Hits) / float64(total)
-			}
-			m.Cache = cs
+			m.Cache = runlog.NewCacheStats(cache.Stats(*c))
 		}
 	}
 	p.proc.Sample()

@@ -172,7 +172,7 @@ func runStudySharded(ctx context.Context, p *pipeline, seed int64, perTaxon int,
 	if ferr != nil {
 		return ferr
 	}
-	if err := reportFailureList(res.Projects, res.Failures); err != nil {
+	if err := reportFailures(res.Projects, res.Failures); err != nil {
 		return err
 	}
 	fmt.Printf("analyzed %d projects across %d shards\n\n", res.Projects, shards)

@@ -42,33 +42,16 @@ func renderStudySections(a *report.StudyArtifacts, outDir string) error {
 	return nil
 }
 
-// studyCorpusConfig assembles the generation config shared by the batch
-// and streaming paths: the paper's corpus (optionally rescaled per taxon
-// for memory experiments), the run's cache and observer.
-func studyCorpusConfig(p *pipeline, seed int64, perTaxon int) corpus.Config {
-	cfg := corpus.DefaultConfig(seed)
-	if perTaxon > 0 {
-		for i := range cfg.Profiles {
-			cfg.Profiles[i].Count = perTaxon
-		}
-	}
-	cfg.Exec.Workers = p.exec.Workers
-	cfg.Cache = p.cache
-	cfg.Obs = p.obs
-	return cfg
-}
-
 // runStudy executes the full pipeline and renders every evaluation
-// artifact, optionally writing the per-project CSV data set. The default
-// streaming mode fuses generation and analysis so peak memory stays
-// O(workers) projects; -stream=false materializes the corpus first and
-// analyzes it as a batch. Both modes produce byte-identical output.
+// artifact, optionally writing the per-project CSV data set. Generation
+// and analysis run fused in one stream, so peak memory stays O(workers)
+// projects: figures accumulate online and the CSV is written row by row,
+// so no per-project result outlives its turn through the sinks.
 func runStudy(ctx context.Context, args []string) error {
 	fs := newFlagSet("study")
 	seed := fs.Int64("seed", 2023, "corpus generation seed")
 	csvPath := fs.String("csv", "", "write the per-project data set to this CSV file")
 	outDir := fs.String("out", "", "also write each figure to a file in this directory")
-	streamMode := fs.Bool("stream", true, "fuse generation and analysis into one bounded-memory stream (false: materialize the whole corpus, then analyze)")
 	perTaxon := fs.Int("per-taxon", 0, "override the per-taxon project count (0 = the paper's 195-project corpus)")
 	shards := fs.Int("shards", 0, "scale the study across this many worker processes (0 = single process); output is byte-identical to the unsharded run")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated base URLs of running `coevo shard serve` workers, one per shard (default: spawn local workers)")
@@ -103,67 +86,27 @@ func runStudy(ctx context.Context, args []string) error {
 	opts.Cache = p.cache
 	opts.Obs = p.obs
 	opts.History.Dialect = dial
-	cfg := studyCorpusConfig(p, *seed, *perTaxon)
-	src := corpus.NewSource(cfg)
-	mode := "batch"
-	if *streamMode {
-		mode = "streaming"
-	}
-	fmt.Fprintf(os.Stderr, "generating and analyzing the %d-project corpus (seed %d, %s, %s)...\n",
-		src.Len(), *seed, workersLabel(opts.Exec.Workers), mode)
-
-	if *streamMode {
-		return runStudyStreaming(ctx, p, src, opts, *seed, *csvPath, *outDir)
-	}
-
-	rctx, span := p.obs.StartSpan(ctx, "run")
-	projects, err := corpus.GenerateContext(rctx, cfg)
-	var d *study.Dataset
-	if err == nil {
-		d, err = study.AnalyzeCorpusContext(rctx, projects, opts)
-	}
-	span.End()
-	p.recordDataset(d)
-	ferr := p.finish(ctx, err)
-	if err != nil {
-		reportInterrupted(d, err)
-		return err
-	}
-	if ferr != nil {
-		return ferr
-	}
-	if err := reportFailures(d); err != nil {
-		return err
-	}
-	fmt.Printf("analyzed %d projects\n\n", d.Size())
-
-	if err := renderStudySections(report.DatasetArtifacts(d, *seed), *outDir); err != nil {
-		return err
-	}
-	if *csvPath != "" {
-		if err := writeFile(*csvPath, func(w io.Writer) error {
-			return report.Render(w, d, report.CSV)
-		}); err != nil {
-			return err
+	cfg := corpus.DefaultConfig(*seed)
+	if *perTaxon > 0 {
+		for i := range cfg.Profiles {
+			cfg.Profiles[i].Count = *perTaxon
 		}
-		fmt.Printf("wrote data set to %s\n", *csvPath)
 	}
-	return nil
-}
+	cfg.Cache = p.cache
+	cfg.Obs = p.obs
+	src := corpus.NewSource(cfg)
+	fmt.Fprintf(os.Stderr, "generating and analyzing the %d-project corpus (seed %d, %s)...\n",
+		src.Len(), *seed, workersLabel(opts.Exec.Workers))
 
-// runStudyStreaming runs the fused generate→analyze stream: figures
-// accumulate online and the CSV (when requested) is written row by row,
-// so no per-project result outlives its turn through the sinks.
-func runStudyStreaming(ctx context.Context, p *pipeline, src *corpus.Source, opts study.Options, seed int64, csvPath, outDir string) error {
 	figs := study.NewFigures()
 	sinks := []study.Sink{figs}
 	var csvFile *os.File
 	var csvW *report.DatasetCSVWriter
-	if csvPath != "" {
-		if err := os.MkdirAll(filepath.Dir(csvPath), 0o755); err != nil {
+	if *csvPath != "" {
+		if err := os.MkdirAll(filepath.Dir(*csvPath), 0o755); err != nil {
 			return err
 		}
-		f, err := os.Create(csvPath)
+		f, err := os.Create(*csvPath)
 		if err != nil {
 			return err
 		}
@@ -187,30 +130,28 @@ func runStudyStreaming(ctx context.Context, p *pipeline, src *corpus.Source, opt
 	rctx, span := opts.Obs.StartSpan(ctx, "run")
 	sum, err := study.StreamCorpus(rctx, src, study.MultiSink(sinks...), opts)
 	span.End()
-	p.recordStream(sum)
+	p.recordRun(sum.Projects, sum.Failures)
 	ferr := p.finish(ctx, err)
 	if err != nil {
-		if sum != nil {
-			reportInterruptedCounts(sum.Projects, len(sum.Failures), err)
-		}
+		reportInterrupted(sum.Projects, len(sum.Failures), err)
 		return err
 	}
 	if ferr != nil {
 		return ferr
 	}
-	if err := reportFailureList(sum.Projects, sum.Failures); err != nil {
+	if err := reportFailures(sum.Projects, sum.Failures); err != nil {
 		return err
 	}
 	fmt.Printf("analyzed %d projects\n\n", sum.Projects)
 
-	if err := renderStudySections(report.FiguresArtifacts(figs, seed), outDir); err != nil {
+	if err := renderStudySections(report.FiguresArtifacts(figs, *seed), *outDir); err != nil {
 		return err
 	}
-	if csvPath != "" {
+	if *csvPath != "" {
 		if err := closeCSV(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote data set to %s\n", csvPath)
+		fmt.Printf("wrote data set to %s\n", *csvPath)
 	}
 	return nil
 }

@@ -37,16 +37,16 @@ func runTaxa(ctx context.Context, args []string) error {
 	opts.Obs = p.obs
 	opts.History.Dialect = dial
 	d, err := study.Run(ctx, *seed, opts)
-	p.recordDataset(d)
+	p.recordRun(d.Size(), d.Failures)
 	ferr := p.finish(ctx, err)
 	if err != nil {
-		reportInterrupted(d, err)
+		reportInterrupted(d.Size(), len(d.Failures), err)
 		return err
 	}
 	if ferr != nil {
 		return ferr
 	}
-	if err := reportFailures(d); err != nil {
+	if err := reportFailures(d.Size(), d.Failures); err != nil {
 		return err
 	}
 

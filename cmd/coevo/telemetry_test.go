@@ -133,7 +133,7 @@ func TestTelemetryDuringStudy(t *testing.T) {
 		t.Errorf("index = %d %q, want endpoint listing with /runs", code, body)
 	}
 
-	p.recordDataset(d)
+	p.recordRun(d.Size(), d.Failures)
 	if err := p.finish(context.Background(), nil); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestLingerKeepsServerUp(t *testing.T) {
 		t.Fatalf("build pipeline: %v", err)
 	}
 	url := p.server.URL()
-	p.recordProjects(6)
+	p.recordRun(6, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	finished := make(chan error, 1)
@@ -397,7 +397,7 @@ func TestConcurrentMetricsScrapeDuringStudy(t *testing.T) {
 	if _, body := getBody(t, url+"/metrics"); !strings.Contains(body, `coevo_engine_tasks_total{run="analyze"}`) {
 		t.Errorf("final scrape missing engine series:\n%.300s", body)
 	}
-	p.recordDataset(d)
+	p.recordRun(d.Size(), d.Failures)
 	if err := p.finish(context.Background(), nil); err != nil {
 		t.Fatalf("finish: %v", err)
 	}

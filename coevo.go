@@ -34,7 +34,6 @@ import (
 	"net/http"
 
 	"coevo/internal/cache"
-	"coevo/internal/coevolution"
 	"coevo/internal/corpus"
 	"coevo/internal/engine"
 	"coevo/internal/jobs"
@@ -273,11 +272,12 @@ func RunStudyContext(ctx context.Context, seed int64, opts Options) (*Dataset, e
 	return study.Run(ctx, seed, opts)
 }
 
-// Streaming: the fused generate→analyze pipeline. A CorpusSource hands
-// projects out lazily, StreamStudy pushes each analyzed result through a
-// StudySink in corpus order and releases it, and Figures accumulates
-// every published figure and statistic online — the whole study in
-// O(workers) memory, byte-identical to the batch path.
+// Streaming: the fused generate→analyze pipeline every study runs on. A
+// CorpusSource hands projects out lazily, StreamStudy pushes each
+// analyzed result through a StudySink in corpus order and releases it,
+// and Figures accumulates every published figure and statistic online —
+// the whole study in O(workers) memory, byte-identical to RunStudy,
+// which is the same stream collected into a Dataset.
 type (
 	// CorpusSource generates a corpus lazily, one project per Next call.
 	CorpusSource = corpus.Source
@@ -337,8 +337,7 @@ func PartitionCorpus(src *CorpusSource, shard, of int) (*CorpusSource, error) {
 
 // Rendering: every figure and export of the study is produced through one
 // entry point, Render, which dispatches an artifact and a format to the
-// matching encoder. The eleven Write* helpers below predate it and remain
-// as one-line wrappers for compatibility.
+// matching encoder.
 
 // Rendering types re-exported from the report package.
 type (
@@ -389,87 +388,9 @@ func Render(w io.Writer, artifact any, format Format) error {
 	return report.Render(w, artifact, format)
 }
 
-// WriteJointProgress renders a Figure 1/3-style joint cumulative progress
-// diagram.
-//
-// Deprecated: use Render(w, JointProgressFigure{Title: title, Progress: j}, Text).
-func WriteJointProgress(w io.Writer, title string, j *coevolution.JointProgress) error {
-	return Render(w, JointProgressFigure{Title: title, Progress: j}, Text)
-}
-
-// WriteSyncHistogram renders the Figure 4 synchronicity histogram.
-//
-// Deprecated: use Render(w, h, Text).
-func WriteSyncHistogram(w io.Writer, h *study.SyncHistogram) error {
-	return Render(w, h, Text)
-}
-
-// WriteScatter renders the Figure 5 duration-vs-synchronicity plot.
-//
-// Deprecated: use Render(w, points, Text).
-func WriteScatter(w io.Writer, points []study.ScatterPoint) error {
-	return Render(w, points, Text)
-}
-
-// WriteAdvanceTable renders the Figure 6 advance table.
-//
-// Deprecated: use Render(w, t, Text).
-func WriteAdvanceTable(w io.Writer, t *study.AdvanceTable) error {
-	return Render(w, t, Text)
-}
-
-// WriteAlwaysAdvance renders the Figure 7 per-taxon counts.
-//
-// Deprecated: use Render(w, s, Text).
-func WriteAlwaysAdvance(w io.Writer, s *study.AlwaysAdvanceSummary) error {
-	return Render(w, s, Text)
-}
-
-// WriteAttainment renders the Figure 8 attainment breakdown.
-//
-// Deprecated: use Render(w, b, Text).
-func WriteAttainment(w io.Writer, b *study.AttainmentBreakdown) error {
-	return Render(w, b, Text)
-}
-
-// WriteStatsReport renders the Section 7 statistics.
-//
-// Deprecated: use Render(w, r, Text).
-func WriteStatsReport(w io.Writer, r *StatsReport) error {
-	return Render(w, r, Text)
-}
-
-// WriteDatasetCSV exports the per-project measurements as CSV.
-//
-// Deprecated: use Render(w, d, CSV).
-func WriteDatasetCSV(w io.Writer, d *Dataset) error {
-	return Render(w, d, CSV)
-}
-
 // DatasetCSVWriter streams the CSV export row by row; its Add method is
 // a StudySink, so a streaming study can emit the data set live.
 type DatasetCSVWriter = report.DatasetCSVWriter
 
 // NewDatasetCSVWriter writes the CSV header and returns the row writer.
 func NewDatasetCSVWriter(w io.Writer) *DatasetCSVWriter { return report.NewDatasetCSVWriter(w) }
-
-// WriteJointProgressSVG renders a joint progress diagram as SVG.
-//
-// Deprecated: use Render(w, JointProgressFigure{Title: title, Progress: j}, SVG).
-func WriteJointProgressSVG(w io.Writer, title string, j *coevolution.JointProgress) error {
-	return Render(w, JointProgressFigure{Title: title, Progress: j}, SVG)
-}
-
-// WriteScatterSVG renders the Figure 5 scatter as SVG.
-//
-// Deprecated: use Render(w, points, SVG).
-func WriteScatterSVG(w io.Writer, points []study.ScatterPoint) error {
-	return Render(w, points, SVG)
-}
-
-// WriteSyncHistogramSVG renders the Figure 4 histogram as SVG.
-//
-// Deprecated: use Render(w, h, SVG).
-func WriteSyncHistogramSVG(w io.Writer, h *study.SyncHistogram) error {
-	return Render(w, h, SVG)
-}

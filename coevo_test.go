@@ -40,7 +40,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("result = %+v", res)
 	}
 	var buf bytes.Buffer
-	if err := coevo.WriteJointProgress(&buf, "demo", res.Joint); err != nil {
+	if err := coevo.Render(&buf, coevo.JointProgressFigure{Title: "demo", Progress: res.Joint}, coevo.Text); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "S=schema") {
@@ -75,12 +75,12 @@ func TestPublicAPICorpusFlow(t *testing.T) {
 
 	var buf bytes.Buffer
 	writers := []func() error{
-		func() error { return coevo.WriteSyncHistogram(&buf, d.SynchronicityHistogram(0.10, 5)) },
-		func() error { return coevo.WriteScatter(&buf, d.DurationSynchronicityScatter()) },
-		func() error { return coevo.WriteAdvanceTable(&buf, d.AdvanceBreakdown()) },
-		func() error { return coevo.WriteAlwaysAdvance(&buf, d.AlwaysAdvance()) },
-		func() error { return coevo.WriteAttainment(&buf, d.Attainment()) },
-		func() error { return coevo.WriteDatasetCSV(&buf, d) },
+		func() error { return coevo.Render(&buf, d.SynchronicityHistogram(0.10, 5), coevo.Text) },
+		func() error { return coevo.Render(&buf, d.DurationSynchronicityScatter(), coevo.Text) },
+		func() error { return coevo.Render(&buf, d.AdvanceBreakdown(), coevo.Text) },
+		func() error { return coevo.Render(&buf, d.AlwaysAdvance(), coevo.Text) },
+		func() error { return coevo.Render(&buf, d.Attainment(), coevo.Text) },
+		func() error { return coevo.Render(&buf, d, coevo.CSV) },
 	}
 	for i, w := range writers {
 		if err := w(); err != nil {
@@ -91,7 +91,7 @@ func TestPublicAPICorpusFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coevo.WriteStatsReport(&buf, st); err != nil {
+	if err := coevo.Render(&buf, st, coevo.Text); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {

@@ -35,12 +35,12 @@ var serialGolden = map[string]string{
 // renderArtifacts produces every golden-checked artifact of a dataset.
 func renderArtifacts(d *coevo.Dataset) map[string]func(io.Writer) error {
 	return map[string]func(io.Writer) error{
-		"figure4": func(w io.Writer) error { return coevo.WriteSyncHistogram(w, d.SynchronicityHistogram(0.10, 5)) },
-		"figure5": func(w io.Writer) error { return coevo.WriteScatter(w, d.DurationSynchronicityScatter()) },
-		"figure6": func(w io.Writer) error { return coevo.WriteAdvanceTable(w, d.AdvanceBreakdown()) },
-		"figure7": func(w io.Writer) error { return coevo.WriteAlwaysAdvance(w, d.AlwaysAdvance()) },
-		"figure8": func(w io.Writer) error { return coevo.WriteAttainment(w, d.Attainment()) },
-		"csv":     func(w io.Writer) error { return coevo.WriteDatasetCSV(w, d) },
+		"figure4": func(w io.Writer) error { return coevo.Render(w, d.SynchronicityHistogram(0.10, 5), coevo.Text) },
+		"figure5": func(w io.Writer) error { return coevo.Render(w, d.DurationSynchronicityScatter(), coevo.Text) },
+		"figure6": func(w io.Writer) error { return coevo.Render(w, d.AdvanceBreakdown(), coevo.Text) },
+		"figure7": func(w io.Writer) error { return coevo.Render(w, d.AlwaysAdvance(), coevo.Text) },
+		"figure8": func(w io.Writer) error { return coevo.Render(w, d.Attainment(), coevo.Text) },
+		"csv":     func(w io.Writer) error { return coevo.Render(w, d, coevo.CSV) },
 	}
 }
 
@@ -80,7 +80,7 @@ func TestStudyDeterministicWithObserver(t *testing.T) {
 
 	// The observer must have captured the run: a loadable Chrome trace
 	// with spans for both pipeline halves, and engine metrics for the
-	// generate and analyze scopes.
+	// analyze scope, generation included as its "generate" stage.
 	var trace bytes.Buffer
 	if err := observer.WriteTrace(&trace); err != nil {
 		t.Fatalf("WriteTrace: %v", err)
@@ -110,9 +110,9 @@ func TestStudyDeterministicWithObserver(t *testing.T) {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	for _, want := range []string{
-		`coevo_engine_tasks_total{run="generate"} 195`,
 		`coevo_engine_tasks_total{run="analyze"} 195`,
 		`coevo_engine_task_seconds_count{run="analyze"} 195`,
+		`coevo_engine_stage_seconds_total{run="analyze",stage="generate"} `,
 	} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("metrics exposition lacks %q", want)

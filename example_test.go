@@ -46,10 +46,12 @@ func Example() {
 	// 75% of schema evolution attained at 25% of life
 }
 
-// ExampleRender shows the consolidated rendering entry point. The
-// per-figure Write* helpers are deprecated one-line wrappers around it:
+// ExampleRender shows the single rendering entry point. The per-figure
+// Write* helpers of earlier releases have been removed; each call
+// migrates to a byte-identical Render call:
 //
 //	coevo.WriteJointProgress(w, "app", j)    →  coevo.Render(w, coevo.JointProgressFigure{Title: "app", Progress: j}, coevo.Text)
+//	coevo.WriteSyncHistogram(w, h)           →  coevo.Render(w, h, coevo.Text)
 //	coevo.WriteSyncHistogramSVG(w, h)        →  coevo.Render(w, h, coevo.SVG)
 //	coevo.WriteDatasetCSV(w, d)              →  coevo.Render(w, d, coevo.CSV)
 //

@@ -250,7 +250,8 @@ func main() {
 
 	fmt.Println("Case study replica of mapbox/osm-comments-parser (paper §3.3)")
 	fmt.Println()
-	if err := coevo.WriteJointProgress(os.Stdout, "joint cumulative fractional progress", result.Joint); err != nil {
+	fig := coevo.JointProgressFigure{Title: "joint cumulative fractional progress", Progress: result.Joint}
+	if err := coevo.Render(os.Stdout, fig, coevo.Text); err != nil {
 		log.Fatal(err)
 	}
 

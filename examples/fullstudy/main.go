@@ -31,25 +31,25 @@ func main() {
 			log.Fatalf("render: %v", err)
 		}
 	}
-	must(coevo.WriteSyncHistogram(os.Stdout, dataset.SynchronicityHistogram(0.10, 5)))
+	must(coevo.Render(os.Stdout, dataset.SynchronicityHistogram(0.10, 5), coevo.Text))
 	fmt.Println()
 
-	must(coevo.WriteScatter(os.Stdout, dataset.DurationSynchronicityScatter()))
+	must(coevo.Render(os.Stdout, dataset.DurationSynchronicityScatter(), coevo.Text))
 	in, out := dataset.LongProjectSyncBand(60, 0.2, 0.8)
 	fmt.Printf("projects over 60 months: %d inside the (0.2, 0.8) band, %d outside\n\n", in, out)
 
-	must(coevo.WriteAdvanceTable(os.Stdout, dataset.AdvanceBreakdown()))
+	must(coevo.Render(os.Stdout, dataset.AdvanceBreakdown(), coevo.Text))
 	fmt.Println()
 
-	must(coevo.WriteAlwaysAdvance(os.Stdout, dataset.AlwaysAdvance()))
+	must(coevo.Render(os.Stdout, dataset.AlwaysAdvance(), coevo.Text))
 	fmt.Println()
 
-	must(coevo.WriteAttainment(os.Stdout, dataset.Attainment()))
+	must(coevo.Render(os.Stdout, dataset.Attainment(), coevo.Text))
 	fmt.Println()
 
 	stats, err := dataset.Statistics(*seed)
 	if err != nil {
 		log.Fatalf("statistics: %v", err)
 	}
-	must(coevo.WriteStatsReport(os.Stdout, stats))
+	must(coevo.Render(os.Stdout, stats, coevo.Text))
 }

@@ -73,7 +73,8 @@ func main() {
 	fmt.Printf("schema: %d commits, %d change units; project: %d commits, %d file updates\n\n",
 		result.SchemaCommits, result.TotalSchemaActivity, result.ProjectCommits, result.FileUpdates)
 
-	if err := coevo.WriteJointProgress(os.Stdout, "joint cumulative fractional progress", result.Joint); err != nil {
+	fig := coevo.JointProgressFigure{Title: "joint cumulative fractional progress", Progress: result.Joint}
+	if err := coevo.Render(os.Stdout, fig, coevo.Text); err != nil {
 		log.Fatalf("render: %v", err)
 	}
 

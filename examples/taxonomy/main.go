@@ -55,7 +55,7 @@ func main() {
 		}
 		title := fmt.Sprintf("%s — %s (duration %d months, sync %.0f%%)",
 			taxon, exemplar.Name, exemplar.DurationMonths, 100*exemplar.Measures.Sync10)
-		if err := coevo.WriteJointProgress(os.Stdout, title, exemplar.Joint); err != nil {
+		if err := coevo.Render(os.Stdout, coevo.JointProgressFigure{Title: title, Progress: exemplar.Joint}, coevo.Text); err != nil {
 			log.Fatalf("render: %v", err)
 		}
 		fmt.Println()

@@ -227,19 +227,18 @@ func Generate(cfg Config) ([]*Project, error) {
 	return GenerateContext(context.Background(), cfg)
 }
 
-// GenerateContext synthesizes the corpus described by cfg on the
-// execution engine: projects are materialized concurrently (cfg.Exec
-// bounded) yet returned in profile order, and every project seeds its own
-// rand source from cfg.Seed and its index, so the result is bit-for-bit
-// identical to the serial generator at any worker count.
+// GenerateContext synthesizes the corpus described by cfg: EachContext
+// appending every project to a slice. Projects are materialized
+// concurrently (cfg.Exec bounded) yet returned in profile order, and
+// every project seeds its own rand source from cfg.Seed and its index, so
+// the result is bit-for-bit identical to the serial generator at any
+// worker count.
 func GenerateContext(ctx context.Context, cfg Config) ([]*Project, error) {
-	src := NewSource(cfg)
-	projects := make([]*Project, 0, src.Len())
-	_, err := src.each(ctx, -1, func(p *Project) error {
+	var projects []*Project
+	if _, err := EachContext(ctx, cfg, func(p *Project) error {
 		projects = append(projects, p)
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return projects, nil

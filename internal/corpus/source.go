@@ -146,18 +146,13 @@ func (s *Source) claimAndGenerate(ctx context.Context) (*Project, int, bool, err
 }
 
 // EachContext streams the corpus described by cfg through visit in
-// corpus order, releasing each project as soon as visit returns — the
-// O(workers) companion of GenerateContext. Generation is concurrent
-// (cfg.Exec bounded) behind a bounded reorder window; visit is called
-// serialized, in corpus order. Returns how many projects were visited.
+// corpus order, releasing each project as soon as visit returns (unless
+// visit keeps it, as GenerateContext does). Generation is concurrent
+// (cfg.Exec bounded) behind the engine's bounded reorder window; visit
+// is called serialized, in corpus order. Returns how many projects were
+// visited.
 func EachContext(ctx context.Context, cfg Config, visit func(*Project) error) (int, error) {
-	return NewSource(cfg).each(ctx, 0, visit)
-}
-
-// each runs the generation stream: window < 0 removes the reorder bound
-// (the collect-all path keeps everything anyway), 0 uses the engine's
-// 2×workers default.
-func (s *Source) each(ctx context.Context, window int, visit func(*Project) error) (int, error) {
+	s := NewSource(cfg)
 	eopts := s.cfg.Exec
 	// A generation failure means the configuration itself is broken; no
 	// point materializing the rest of a corpus that cannot be studied.
@@ -178,7 +173,7 @@ func (s *Source) each(ctx context.Context, window int, visit func(*Project) erro
 	_, err := engine.Stream(ctx, s.Indexed(),
 		func(_ context.Context, _ int, p *Project) (*Project, error) { return p, nil },
 		func(_ int, p *Project) error { n++; return visit(p) },
-		engine.StreamOptions{Options: eopts, Window: window, Total: s.Len()})
+		engine.StreamOptions{Options: eopts, Total: s.Len()})
 	if err != nil {
 		// Surface the source's own (already project-labelled) cause; the
 		// engine's wrapping only says how the failure travelled.

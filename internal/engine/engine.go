@@ -5,9 +5,10 @@
 // (task started/finished/failed with wall time and per-stage timings)
 // that progress reporters and metrics collectors consume.
 //
-// Results are always returned indexed by input position, so a run with N
-// workers produces byte-identical downstream artifacts to a serial run —
-// the determinism contract every figure and CSV of the study relies on.
+// Results are always emitted in input-index order (Stream), so a run
+// with N workers produces byte-identical downstream artifacts to a serial
+// run — the determinism contract every figure and CSV of the study relies
+// on.
 package engine
 
 import (
@@ -152,33 +153,6 @@ func (o Options) workerCount(n int) int {
 		w = 1
 	}
 	return w
-}
-
-// Map runs fn over every item with a bounded worker pool and returns the
-// results indexed by input position — deterministic regardless of worker
-// count or completion order. A failed (or panicked) task leaves the zero
-// value at its index and contributes a TaskError to the failure list,
-// which is sorted by task index.
-//
-// The returned error is non-nil only when the run itself did not complete:
-// the context was cancelled, or Policy is FailFast and a task failed (the
-// chronologically first failure is returned, wrapped). Under CollectErrors
-// a run with failures still returns a nil error — callers inspect the
-// failure list.
-func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, index int, item T) (R, error), opts Options) ([]R, []*TaskError, error) {
-	n := len(items)
-	results := make([]R, n)
-	if n == 0 {
-		return results, nil, ctx.Err()
-	}
-	// Map is the collect-all face of the streaming core: a slice source,
-	// an emitter that parks each result at its index, and no reorder
-	// window (every result is kept anyway, so bounding the re-sequencer
-	// would only stall fast workers behind a slow head-of-line task).
-	failures, err := Stream(ctx, SliceSource(items), fn,
-		func(i int, res R) error { results[i] = res; return nil },
-		StreamOptions{Options: opts, Window: -1, Total: n})
-	return results, failures, err
 }
 
 // runTask invokes fn with panic isolation: a panic is converted into a

@@ -6,191 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestMapDeterministicOrdering(t *testing.T) {
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
-	for _, workers := range []int{1, 4, 8, 64} {
-		results, failures, err := Map(context.Background(), items,
-			func(_ context.Context, i, item int) (int, error) {
-				// Skew completion order: early tasks finish last.
-				time.Sleep(time.Duration(100-i) * time.Microsecond)
-				return item * 2, nil
-			}, Options{Workers: workers})
-		if err != nil || len(failures) != 0 {
-			t.Fatalf("workers=%d: err=%v failures=%d", workers, err, len(failures))
-		}
-		for i, r := range results {
-			if r != i*2 {
-				t.Fatalf("workers=%d: results[%d] = %d, want %d", workers, i, r, i*2)
-			}
-		}
-	}
-}
-
-func TestMapEmpty(t *testing.T) {
-	results, failures, err := Map(context.Background(), nil,
-		func(_ context.Context, i int, item struct{}) (int, error) { return 0, nil }, Options{})
-	if err != nil || len(results) != 0 || len(failures) != 0 {
-		t.Fatalf("empty map: %v %v %v", results, failures, err)
-	}
-}
-
-func TestMapCollectsErrors(t *testing.T) {
-	boom := errors.New("boom")
-	items := []int{0, 1, 2, 3, 4, 5}
-	results, failures, err := Map(context.Background(), items,
-		func(_ context.Context, i, item int) (int, error) {
-			if i == 2 || i == 4 {
-				return 0, boom
-			}
-			return item + 10, nil
-		}, Options{Workers: 3, Name: func(i int) string { return fmt.Sprintf("proj-%d", i) }})
-	if err != nil {
-		t.Fatalf("CollectErrors must not surface task errors as run error: %v", err)
-	}
-	if len(failures) != 2 || failures[0].Index != 2 || failures[1].Index != 4 {
-		t.Fatalf("failures = %+v", failures)
-	}
-	if !errors.Is(failures[0], boom) {
-		t.Errorf("failure cause not unwrappable: %v", failures[0])
-	}
-	if failures[0].Name != "proj-2" {
-		t.Errorf("failure name = %q", failures[0].Name)
-	}
-	if results[2] != 0 || results[3] != 13 {
-		t.Errorf("results = %v", results)
-	}
-}
-
-func TestMapPanicIsolation(t *testing.T) {
-	items := []int{0, 1, 2, 3}
-	results, failures, err := Map(context.Background(), items,
-		func(_ context.Context, i, item int) (int, error) {
-			if i == 1 {
-				panic("poisoned history")
-			}
-			return item, nil
-		}, Options{Workers: 2})
-	if err != nil {
-		t.Fatalf("panic must not abort the run: %v", err)
-	}
-	if len(failures) != 1 || failures[0].Index != 1 {
-		t.Fatalf("failures = %+v", failures)
-	}
-	var pe *PanicError
-	if !errors.As(failures[0].Err, &pe) {
-		t.Fatalf("want PanicError, got %T: %v", failures[0].Err, failures[0].Err)
-	}
-	if pe.Value != "poisoned history" || len(pe.Stack) == 0 {
-		t.Errorf("panic payload not captured: %+v", pe)
-	}
-	if !strings.Contains(pe.Error(), "poisoned history") {
-		t.Errorf("Error() = %q", pe.Error())
-	}
-	if results[0] != 0 || results[2] != 2 || results[3] != 3 {
-		t.Errorf("surviving results lost: %v", results)
-	}
-}
-
-func TestMapFailFast(t *testing.T) {
-	boom := errors.New("boom")
-	var ran atomic.Int32
-	items := make([]int, 200)
-	_, failures, err := Map(context.Background(), items,
-		func(_ context.Context, i, _ int) (int, error) {
-			ran.Add(1)
-			if i == 0 {
-				return 0, boom
-			}
-			time.Sleep(time.Millisecond)
-			return 0, nil
-		}, Options{Workers: 2, Policy: FailFast})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("FailFast must return the trigger failure, got %v", err)
-	}
-	if len(failures) == 0 {
-		t.Fatal("trigger failure not recorded")
-	}
-	if n := ran.Load(); n == 200 {
-		t.Error("FailFast did not stop the pool from draining every task")
-	}
-}
-
-func TestMapContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	items := make([]int, 100)
-	var ran atomic.Int32
-	_, _, err := Map(ctx, items,
-		func(ctx context.Context, i, _ int) (int, error) {
-			if ran.Add(1) == 3 {
-				cancel()
-			}
-			return 0, nil
-		}, Options{Workers: 1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if n := ran.Load(); n == 100 {
-		t.Error("cancellation did not stop the pool")
-	}
-}
-
-func TestMapEventsAndStages(t *testing.T) {
-	var events []Event
-	items := []int{0, 1, 2}
-	_, _, err := Map(context.Background(), items,
-		func(ctx context.Context, i, item int) (int, error) {
-			Stage(ctx, "extract")
-			Stage(ctx, "measure")
-			if i == 1 {
-				return 0, errors.New("bad")
-			}
-			return item, nil
-		}, Options{Workers: 2, Scope: "analyze", OnEvent: func(e Event) { events = append(events, e) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var started, finished, failed int
-	lastDone := 0
-	for _, e := range events {
-		if e.Scope != "analyze" {
-			t.Errorf("event scope = %q, want %q", e.Scope, "analyze")
-		}
-		switch e.Type {
-		case TaskStarted:
-			started++
-		case TaskFinished:
-			finished++
-		case TaskFailed:
-			failed++
-		}
-		if e.Type != TaskStarted {
-			if e.Done < lastDone {
-				t.Errorf("Done went backwards: %d after %d", e.Done, lastDone)
-			}
-			lastDone = e.Done
-			if len(e.Stages) != 2 || e.Stages[0].Name != "extract" || e.Stages[1].Name != "measure" {
-				t.Errorf("stages = %+v", e.Stages)
-			}
-			if e.Total != 3 {
-				t.Errorf("Total = %d", e.Total)
-			}
-		}
-	}
-	if started != 3 || finished != 2 || failed != 1 {
-		t.Fatalf("event counts: started %d finished %d failed %d", started, finished, failed)
-	}
-	if lastDone != 3 {
-		t.Errorf("final Done = %d", lastDone)
-	}
-}
 
 func TestStageOutsideEngineIsNoop(t *testing.T) {
 	Stage(context.Background(), "extract") // must not panic

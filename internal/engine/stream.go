@@ -39,7 +39,7 @@ type SourceFunc[T any] func(ctx context.Context) (T, int, bool, error)
 func (f SourceFunc[T]) Next(ctx context.Context) (T, int, bool, error) { return f(ctx) }
 
 // SliceSource adapts a slice to the Source interface, handing out items
-// in index order. It is how Map rides the streaming core.
+// in index order — how an already-materialized input rides the stream.
 func SliceSource[T any](items []T) Source[T] {
 	var next atomic.Int64
 	return SourceFunc[T](func(context.Context) (T, int, bool, error) {
@@ -79,9 +79,8 @@ type StreamOptions struct {
 	// flight or completed-but-not-yet-emitted at once, so one slow task
 	// at the emission head stalls dispatch instead of growing the
 	// pending buffer without bound — this is the O(workers) memory
-	// contract of the streaming study. 0 derives 2×workers; negative
-	// disables the bound (Map's behaviour, where every result is
-	// collected anyway).
+	// contract of the streaming study. Zero or negative derives
+	// 2×workers.
 	Window int
 	// Total, when > 0, is the expected item count: it sizes the pool
 	// (never more workers than items) and fills Event.Total for
@@ -97,12 +96,13 @@ type seqSlot[R any] struct {
 }
 
 // Stream runs fn over every item pulled from src with a bounded worker
-// pool and emits the results strictly in index order — the same
-// determinism contract as Map, without ever holding more than the
-// reorder window of results. Failed (or panicked) tasks contribute a
-// TaskError to the returned list (sorted by index) and their index is
-// skipped by the emitter; under FailFast the first failure cancels the
-// run.
+// pool and emits the results strictly in index order — deterministic
+// regardless of worker count or completion order — without ever holding
+// more than the reorder window of results. Failed (or panicked) tasks
+// contribute a TaskError to the returned list (sorted by index) and
+// their index is skipped by the emitter. Under CollectErrors a run with
+// failures still returns a nil error; under FailFast the first failure
+// cancels the run and is returned, wrapped.
 //
 // emit is called serialized, in ascending index order, and never after
 // Stream returns; an error from emit aborts the stream and surfaces
@@ -126,7 +126,7 @@ func Stream[T, R any](ctx context.Context, src Source[T], fn func(ctx context.Co
 	}
 	workers := opts.workerCount(clamp)
 	window := opts.Window
-	if window == 0 {
+	if window <= 0 {
 		window = 2 * workers
 	}
 
@@ -201,7 +201,7 @@ func Stream[T, R any](ctx context.Context, src Source[T], fn func(ctx context.Co
 			}
 			for {
 				mu.Lock()
-				for window > 0 && issued-emitted >= window && !stopped() {
+				for issued-emitted >= window && !stopped() {
 					cond.Wait()
 				}
 				if stopped() {

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,6 +171,12 @@ func TestStreamPanicDoesNotStallResequencer(t *testing.T) {
 	if !errors.As(failures[0].Err, &pe) {
 		t.Fatalf("want PanicError, got %v", failures[0].Err)
 	}
+	if pe.Value != "poisoned project" || len(pe.Stack) == 0 {
+		t.Errorf("panic payload not captured: %+v", pe)
+	}
+	if !strings.Contains(pe.Error(), "poisoned project") {
+		t.Errorf("Error() = %q", pe.Error())
+	}
 	if len(got) != n-1 {
 		t.Fatalf("emitted %d results, want %d (stalled after the panic?)", len(got), n-1)
 	}
@@ -181,6 +189,59 @@ func TestStreamPanicDoesNotStallResequencer(t *testing.T) {
 			t.Fatalf("emission order broken: got %d, want %d", res, want)
 		}
 		want++
+	}
+}
+
+// TestStreamCollectsErrors: under CollectErrors failed tasks are reported
+// by index and name with an unwrappable cause, the run error stays nil,
+// the surviving results still emit in order, and a failed task's event
+// carries its stage timings like a finished one's.
+func TestStreamCollectsErrors(t *testing.T) {
+	boom := errors.New("boom")
+	var events []Event
+	var got []int
+	failures, err := Stream(context.Background(), SliceSource([]int{0, 1, 2, 3, 4, 5}),
+		func(ctx context.Context, i, item int) (int, error) {
+			Stage(ctx, "extract")
+			Stage(ctx, "measure")
+			if i == 2 || i == 4 {
+				return 0, boom
+			}
+			return item + 10, nil
+		},
+		func(i, res int) error { got = append(got, res); return nil },
+		StreamOptions{Options: Options{Workers: 3, Scope: "analyze",
+			Name:    func(i int) string { return fmt.Sprintf("proj-%d", i) },
+			OnEvent: func(e Event) { events = append(events, e) }}, Total: 6})
+	if err != nil {
+		t.Fatalf("CollectErrors must not surface task errors as run error: %v", err)
+	}
+	if len(failures) != 2 || failures[0].Index != 2 || failures[1].Index != 4 {
+		t.Fatalf("failures = %+v", failures)
+	}
+	if !errors.Is(failures[0], boom) {
+		t.Errorf("failure cause not unwrappable: %v", failures[0])
+	}
+	if failures[0].Name != "proj-2" {
+		t.Errorf("failure name = %q", failures[0].Name)
+	}
+	if fmt.Sprint(got) != "[10 11 13 15]" {
+		t.Errorf("emitted %v", got)
+	}
+	var failed int
+	for _, e := range events {
+		if e.Type == TaskStarted {
+			continue
+		}
+		if len(e.Stages) != 2 || e.Stages[0].Name != "extract" || e.Stages[1].Name != "measure" {
+			t.Errorf("%s stages = %+v", e.Name, e.Stages)
+		}
+		if e.Type == TaskFailed {
+			failed++
+		}
+	}
+	if failed != 2 {
+		t.Errorf("failed events = %d, want 2", failed)
 	}
 }
 

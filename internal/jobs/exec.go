@@ -114,13 +114,7 @@ func (e *Executor) runStudy(ctx context.Context, j *Job, rep RunReport, metrics 
 	opts.Obs = e.Obs
 	opts.History.Dialect = specDialect(spec.Dialect)
 
-	cfg := corpus.DefaultConfig(spec.Seed)
-	if spec.PerTaxon > 0 {
-		for i := range cfg.Profiles {
-			cfg.Profiles[i].Count = spec.PerTaxon
-		}
-	}
-	cfg.Exec = eopts
+	cfg := studyCorpus(spec)
 	cfg.Cache = e.Cache
 	cfg.Obs = e.Obs
 	src := corpus.NewSource(cfg)
@@ -138,22 +132,12 @@ func (e *Executor) runStudy(ctx context.Context, j *Job, rep RunReport, metrics 
 	if err != nil {
 		return nil, err
 	}
-
-	sections, err := renderSections(report.FiguresArtifacts(figs, spec.Seed))
-	if err != nil {
-		return nil, err
-	}
 	if csvW != nil {
 		if err := csvW.Close(); err != nil {
 			return nil, err
 		}
-		sections["dataset.csv"] = csvBuf.String()
 	}
-	return &Result{
-		JobID: j.ID, Kind: KindStudy, Sections: sections,
-		Projects: sum.Projects, FailedProjects: len(sum.Failures),
-		ParseHealth: figs.Health.Summary(),
-	}, nil
+	return studyResult(j, figs, csvBuf.String(), sum.Projects, len(sum.Failures))
 }
 
 // runStudySharded executes a study spec as an in-process partition-and-
@@ -168,18 +152,11 @@ func (e *Executor) runStudySharded(ctx context.Context, j *Job, rep RunReport) (
 	worker := &shard.Worker{Cache: e.Cache, Obs: e.Obs, Workers: e.Workers}
 
 	// The whole-corpus size, for progress reporting across shards.
-	cfg := corpus.DefaultConfig(spec.Seed)
-	if spec.PerTaxon > 0 {
-		for i := range cfg.Profiles {
-			cfg.Profiles[i].Count = spec.PerTaxon
-		}
-	}
-	total := corpus.NewSource(cfg).Len()
+	total := corpus.NewSource(studyCorpus(spec)).Len()
 
-	combined := study.NewFigures()
-	var rows []shard.CSVRow
-	projects, failed := 0, 0
-	for k := 0; k < spec.Shards; k++ {
+	resps := make([]*shard.RunResponse, spec.Shards)
+	projects := 0
+	for k := range resps {
 		resp, err := worker.Run(ctx, &shard.RunRequest{
 			Seed: spec.Seed, PerTaxon: spec.PerTaxon, Dialect: spec.Dialect,
 			Shard: k, Of: spec.Shards, CSV: spec.CSV,
@@ -187,38 +164,52 @@ func (e *Executor) runStudySharded(ctx context.Context, j *Job, rep RunReport) (
 		if err != nil {
 			return nil, err
 		}
-		part, err := study.DecodePartialFigures(resp.Figures)
-		if err != nil {
-			return nil, fmt.Errorf("jobs: shard %d: %w", k, err)
-		}
-		if err := combined.Merge(part); err != nil {
-			return nil, fmt.Errorf("jobs: shard %d: %w", k, err)
-		}
+		resps[k] = resp
 		projects += resp.Projects
-		failed += len(resp.Failures)
-		rows = append(rows, resp.CSV...)
 		if rep.Progress != nil {
 			rep.Progress(projects, total)
 		}
 	}
+	merged, err := shard.Merge(resps)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
+	}
+	var csv strings.Builder
+	if spec.CSV {
+		if err := merged.WriteCSV(&csv); err != nil {
+			return nil, err
+		}
+	}
+	return studyResult(j, merged.Figures, csv.String(), merged.Projects, len(merged.Failures))
+}
 
-	sections, err := renderSections(report.FiguresArtifacts(combined, spec.Seed))
+// studyCorpus is a study spec's corpus: the paper's profiles, rescaled
+// per taxon when the spec asks.
+func studyCorpus(spec *StudySpec) corpus.Config {
+	cfg := corpus.DefaultConfig(spec.Seed)
+	if spec.PerTaxon > 0 {
+		for i := range cfg.Profiles {
+			cfg.Profiles[i].Count = spec.PerTaxon
+		}
+	}
+	return cfg
+}
+
+// studyResult renders a finished study's figures — the same sections
+// `coevo study` writes, plus the CSV export when the spec asked for it —
+// into the job's result.
+func studyResult(j *Job, figs *study.Figures, csv string, projects, failed int) (*Result, error) {
+	sections, err := renderSections(report.FiguresArtifacts(figs, j.Spec.Study.Seed))
 	if err != nil {
 		return nil, err
 	}
-	if spec.CSV {
-		var b strings.Builder
-		b.WriteString(shard.CSVHeader())
-		sort.Slice(rows, func(a, b int) bool { return rows[a].Index < rows[b].Index })
-		for _, row := range rows {
-			b.WriteString(row.Line)
-		}
-		sections["dataset.csv"] = b.String()
+	if j.Spec.Study.CSV {
+		sections["dataset.csv"] = csv
 	}
 	return &Result{
 		JobID: j.ID, Kind: KindStudy, Sections: sections,
 		Projects: projects, FailedProjects: failed,
-		ParseHealth: combined.Health.Summary(),
+		ParseHealth: figs.Health.Summary(),
 	}, nil
 }
 
@@ -375,9 +366,9 @@ func (e *Executor) seal(j *Job, res *Result, start time.Time, metrics *engine.Me
 			}
 		}
 	}
-	if cs := cacheStats(before); cs != nil {
-		m.Cache = cs
-	}
+	// The cache is service-wide, so the numbers are cumulative across
+	// jobs: the manifest records the state at seal time.
+	m.Cache = runlog.NewCacheStats(before)
 	m.Finish(time.Now(), runErr)
 	if _, err := runlog.Write(e.LedgerDir, m); err != nil {
 		e.Obs.Logger().Warn("jobs: run manifest not recorded", "job", j.ID, "err", err)
@@ -424,20 +415,4 @@ func specOptions(s *Spec) map[string]string {
 		}
 	}
 	return opts
-}
-
-// cacheStats snapshots the shared cache for the manifest. The cache is
-// service-wide, so the numbers are cumulative across jobs; the manifest
-// records the state at seal time (nil when no cache is attached).
-func cacheStats(s cache.Stats) *runlog.CacheStats {
-	if s == (cache.Stats{}) {
-		return nil
-	}
-	cs := &runlog.CacheStats{
-		Hits: s.Hits, Misses: s.Misses, MemoryHits: s.MemoryHits,
-		DiskHits: s.DiskHits, Puts: s.Puts, Corrupt: s.Corrupt,
-		BytesRead: s.BytesRead, BytesWritten: s.BytesWritten,
-	}
-	cs.HitRate = s.HitRate()
-	return cs
 }

@@ -22,9 +22,9 @@ func execStudySpec() Spec {
 	return Spec{Kind: KindStudy, Study: &StudySpec{Seed: execSeed, PerTaxon: 2, CSV: true}}
 }
 
-// cliStudySections renders the same study through the CLI's batch path
-// (materialize the corpus, analyze it, render DatasetArtifacts) — an
-// independent route to the same figures the streaming executor must
+// cliStudySections renders the same study through the collect-all API
+// (materialize the corpus, analyze the slice, render DatasetArtifacts) —
+// an independent route to the same figures the streaming executor must
 // reproduce byte for byte.
 func cliStudySections(t *testing.T, seed int64, perTaxon int) map[string]string {
 	t.Helper()
@@ -78,6 +78,40 @@ func TestExecutorStudyMatchesCLI(t *testing.T) {
 	}
 	if res.Projects == 0 || res.FailedProjects != 0 {
 		t.Errorf("projects = %d, failed = %d", res.Projects, res.FailedProjects)
+	}
+}
+
+// TestExecutorShardedStudyMatchesUnsharded runs one spec in process as
+// three shards and unsharded: the shard.Merge path must return every
+// section, dataset.csv included, byte-identical to the unsharded run.
+func TestExecutorShardedStudyMatchesUnsharded(t *testing.T) {
+	run := func(shards int) *Result {
+		t.Helper()
+		spec := execStudySpec()
+		spec.Study.Shards = shards
+		res, err := (&Executor{}).Run(context.Background(), &Job{ID: NewID(time.Now()), Tenant: "t", Spec: spec}, RunReport{})
+		if err != nil {
+			t.Fatalf("Run(shards=%d): %v", shards, err)
+		}
+		return res
+	}
+	want, got := run(0), run(3)
+	if _, ok := want.Sections["dataset.csv"]; !ok {
+		t.Fatal("csv spec produced no dataset.csv section")
+	}
+	if len(got.Sections) != len(want.Sections) {
+		t.Errorf("section count = %d, want %d", len(got.Sections), len(want.Sections))
+	}
+	for name, w := range want.Sections {
+		if g, ok := got.Sections[name]; !ok {
+			t.Errorf("sharded result missing section %s", name)
+		} else if g != w {
+			t.Errorf("section %s differs between sharded and unsharded runs (%d vs %d bytes)", name, len(g), len(w))
+		}
+	}
+	if got.Projects != want.Projects || got.FailedProjects != want.FailedProjects {
+		t.Errorf("sharded projects/failed = %d/%d, want %d/%d",
+			got.Projects, got.FailedProjects, want.Projects, want.FailedProjects)
 	}
 }
 

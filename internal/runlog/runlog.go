@@ -22,6 +22,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"coevo/internal/cache"
 )
 
 // Manifest is one recorded run. Every field is filled best-effort: a
@@ -124,6 +126,23 @@ type CacheStats struct {
 	RemoteBytesRead    int64   `json:"remote_bytes_read,omitempty"`
 	RemoteBytesWritten int64   `json:"remote_bytes_written,omitempty"`
 	HitRate            float64 `json:"hit_rate"`
+}
+
+// NewCacheStats converts a cache counter snapshot — or a per-run delta
+// of two snapshots — to the manifest shape, nil when the cache saw no
+// traffic at all.
+func NewCacheStats(s cache.Stats) *CacheStats {
+	if s == (cache.Stats{}) {
+		return nil
+	}
+	return &CacheStats{
+		Hits: s.Hits, Misses: s.Misses, MemoryHits: s.MemoryHits,
+		DiskHits: s.DiskHits, RemoteHits: s.RemoteHits,
+		RemoteMisses: s.RemoteMisses, Puts: s.Puts, Corrupt: s.Corrupt,
+		BytesRead: s.BytesRead, BytesWritten: s.BytesWritten,
+		RemoteBytesRead: s.RemoteBytesRead, RemoteBytesWritten: s.RemoteBytesWritten,
+		HitRate: s.HitRate(),
+	}
 }
 
 // FailureSummary is one unmeasurable project.

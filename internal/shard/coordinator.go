@@ -1,11 +1,11 @@
 package shard
 
 // The coordinator side: fan a RunRequest out to one worker per shard,
-// decode and fold the partial figures in deterministic shard order, and
-// reassemble failures and CSV rows into global corpus order. Because
-// every figure is an associative fold keyed by global index, the merged
-// result is byte-identical to the single-process run — the coordinator
-// asserts nothing weaker.
+// then Merge the responses — decode and fold the partial figures in
+// deterministic shard order, and reassemble failures and CSV rows into
+// global corpus order. Because every figure is an associative fold keyed
+// by global index, the merged result is byte-identical to the
+// single-process run — the coordinator asserts nothing weaker.
 
 import (
 	"bytes"
@@ -112,8 +112,26 @@ func Run(ctx context.Context, addrs []string, req RunRequest) (*Result, error) {
 		}
 	}
 
-	res := &Result{Figures: study.NewFigures(), TraceID: tc.TraceID}
-	for i, r := range responses {
+	res, err := Merge(responses)
+	if err != nil {
+		return nil, err
+	}
+	for i := range res.Shards {
+		res.Shards[i].Addr = addrs[i]
+	}
+	res.TraceID = tc.TraceID
+	return res, nil
+}
+
+// Merge folds shard responses into one Result — the only place partial
+// figures are decoded and combined. resps[i] must be shard i's response:
+// partials fold in shard order, cache and stage bookkeeping sum across
+// shards, and failures and CSV rows sort by global corpus index, so the
+// result is byte-identical to the single-process run. Shard addresses and
+// the trace id are the caller's to fill in.
+func Merge(resps []*RunResponse) (*Result, error) {
+	res := &Result{Figures: study.NewFigures()}
+	for i, r := range resps {
 		part, err := study.DecodePartialFigures(r.Figures)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: decode partial: %w", i, err)
@@ -127,7 +145,7 @@ func Run(ctx context.Context, addrs []string, req RunRequest) (*Result, error) {
 		}
 		res.CSVRows = append(res.CSVRows, r.CSV...)
 		res.Shards = append(res.Shards, runlog.ShardRun{
-			Shard: i, Addr: addrs[i], ManifestID: r.ManifestID,
+			Shard: i, ManifestID: r.ManifestID,
 			TraceID: r.TraceID, Projects: r.Projects, Failed: len(r.Failures),
 		})
 		if r.Cache != nil {

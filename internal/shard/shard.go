@@ -232,7 +232,7 @@ func (w *Worker) Run(ctx context.Context, req *RunRequest) (*RunResponse, error)
 			resp.StageSeconds[stage] = d.Seconds()
 		}
 	}
-	resp.Cache = cacheStatsDelta(delta)
+	resp.Cache = runlog.NewCacheStats(delta)
 	resp.ManifestID = w.seal(req, resp, start, runErr)
 	if runErr != nil {
 		return nil, runErr
@@ -300,23 +300,6 @@ func statsDelta(before, after cache.Stats) cache.Stats {
 		RemoteBytesRead:    after.RemoteBytesRead - before.RemoteBytesRead,
 		RemoteBytesWritten: after.RemoteBytesWritten - before.RemoteBytesWritten,
 	}
-}
-
-// cacheStatsDelta converts a snapshot delta to the manifest shape, nil
-// when the run touched no cache at all.
-func cacheStatsDelta(s cache.Stats) *runlog.CacheStats {
-	if s == (cache.Stats{}) {
-		return nil
-	}
-	cs := &runlog.CacheStats{
-		Hits: s.Hits, Misses: s.Misses, MemoryHits: s.MemoryHits,
-		DiskHits: s.DiskHits, RemoteHits: s.RemoteHits,
-		RemoteMisses: s.RemoteMisses, Puts: s.Puts, Corrupt: s.Corrupt,
-		BytesRead: s.BytesRead, BytesWritten: s.BytesWritten,
-		RemoteBytesRead: s.RemoteBytesRead, RemoteBytesWritten: s.RemoteBytesWritten,
-	}
-	cs.HitRate = s.HitRate()
-	return cs
 }
 
 // csvRows captures the per-project CSV export one tagged row at a time.

@@ -581,7 +581,7 @@ func (a *StatsAccumulator) Report(seed int64) (*StatsReport, error) {
 // Figures bundles every evaluation aggregate behind one Sink: the
 // paper's five figures, the per-taxon views, the locality summary and
 // the Section 7 statistics, all fed one streamed ProjectResult at a
-// time. It is what `coevo study -stream` and the streaming benchmarks
+// time. It is what `coevo study`, the job service and the benchmarks
 // aggregate into.
 type Figures struct {
 	Sync        *SyncHistogramAccumulator      // Figure 4 (θ=0.10, 5 buckets)

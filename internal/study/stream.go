@@ -1,11 +1,11 @@
 package study
 
-// The streaming face of the study: generation and analysis fused into
-// one engine stream, with per-project results handed to a Sink in corpus
+// The study's one execution path: every corpus-wide entry point —
+// StreamCorpus, RunStream, AnalyzeCorpusContext and Run — drives the same
+// engine stream, with per-project results handed to a Sink in corpus
 // order and released immediately. Peak memory is O(workers + reorder
-// window) repositories instead of O(corpus); output is byte-identical to
-// the batch path because the sink observes the same results in the same
-// order the batch Dataset would hold them.
+// window) repositories instead of O(corpus); the collect-all entry points
+// are that stream feeding a DatasetSink, so they cannot drift from it.
 
 import (
 	"context"
@@ -21,14 +21,14 @@ type StreamSummary struct {
 	// Projects is the number of results delivered to the sink.
 	Projects int
 	// Failures lists the projects that could not be analyzed, in corpus
-	// order — the streaming counterpart of Dataset.Failures.
+	// order, each with its global corpus index.
 	Failures []Failure
 }
 
 // DatasetSink collects streamed results into a Dataset — the bridge for
-// callers that want the batch aggregation API over the streaming engine,
-// and for equivalence tests. It forfeits the streaming path's memory
-// bound, since the Dataset retains every result.
+// callers that want the batch aggregation API over the streaming engine.
+// It forfeits the streaming path's memory bound, since the Dataset
+// retains every result.
 type DatasetSink struct{ d Dataset }
 
 // Add implements Sink.
@@ -40,6 +40,16 @@ func (s *DatasetSink) Add(p *ProjectResult) error {
 // Dataset returns the collected results.
 func (s *DatasetSink) Dataset() *Dataset { return &s.d }
 
+// collect runs a stream into a fresh DatasetSink and returns the
+// Dataset with the run's failures attached — partial when err is set.
+func collect(run func(Sink) (*StreamSummary, error)) (*Dataset, error) {
+	var sink DatasetSink
+	sum, err := run(&sink)
+	d := sink.Dataset()
+	d.Failures = sum.Failures
+	return d, err
+}
+
 // StreamCorpus generates and analyzes src's corpus as one fused stream:
 // the engine's workers pull projects from the source (generation runs as
 // the task's "generate" stage), analyze them, and the re-sequencer hands
@@ -48,29 +58,44 @@ func (s *DatasetSink) Dataset() *Dataset { return &s.d }
 // how many completed results wait for an earlier straggler, so peak
 // memory is O(workers) repositories regardless of corpus size.
 //
-// Failure semantics match AnalyzeCorpusContext: under the default
-// CollectErrors policy a failed project lands in StreamSummary.Failures
-// (its slot is skipped, later results still arrive in order) and the
-// returned error is non-nil only when the run itself stops — context
-// cancellation, FailFast, a generation error, or a sink error. The
-// summary always reports what was delivered before the stop.
+// Under the default CollectErrors policy a failed project lands in
+// StreamSummary.Failures (its slot is skipped, later results still
+// arrive in order) and the returned error is non-nil only when the run
+// itself stops — context cancellation, FailFast, a generation error, or
+// a sink error. The summary always reports what was delivered before the
+// stop.
 func StreamCorpus(ctx context.Context, src *corpus.Source, sink Sink, opts Options) (*StreamSummary, error) {
+	// Name and index by the source, not the package-level convention: a
+	// partitioned source's local index i is global index
+	// src.GlobalIndex(i), and failure reports must name the real project.
+	return streamProjects(ctx, src.Indexed(), src.Len(), src.ProjectName, src.GlobalIndex, sink, opts)
+}
+
+// streamProjects is the body every corpus-wide entry point shares: it
+// analyzes each project src yields on the engine and delivers the
+// results to sink in index order. total sizes the pool and progress
+// events, name labels local index i, and global maps it to the corpus
+// index that index-aware sinks and failure reports carry.
+func streamProjects(ctx context.Context, src engine.Source[*corpus.Project], total int,
+	name func(int) string, global func(int) int, sink Sink, opts Options) (*StreamSummary, error) {
 	eopts := opts.Exec
 	if eopts.Name == nil {
-		// Name by the source, not the package-level convention: a
-		// partitioned source's local index i is global index src.
-		// GlobalIndex(i), and failure reports must name the real project.
-		eopts.Name = src.ProjectName
+		eopts.Name = name
 	}
 	eopts.Obs = opts.Obs
 	eopts.Scope = "analyze"
+	if eopts.WorkerState == nil {
+		// Each engine worker carries its own measure scratch: tasks mutate
+		// it lock-free and nothing crosses worker boundaries.
+		eopts.WorkerState = func() any { return newMeasureScratch() }
+	}
 	ctx, span := opts.Obs.StartSpan(ctx, "analyze")
 	defer span.End()
-	span.SetArg("projects", fmt.Sprint(src.Len()))
+	span.SetArg("projects", fmt.Sprint(total))
 	log := opts.Obs.Logger()
-	log.Info("study: streaming corpus", "projects", src.Len())
+	log.Info("study: analyzing corpus", "projects", total)
 	sum := &StreamSummary{}
-	failures, err := engine.Stream(ctx, src.Indexed(),
+	failures, err := engine.Stream(ctx, src,
 		func(ctx context.Context, _ int, p *corpus.Project) (*ProjectResult, error) {
 			res, err := analyzeProjectStaged(ctx, p, opts)
 			if err != nil {
@@ -85,11 +110,11 @@ func StreamCorpus(ctx context.Context, src *corpus.Source, sink Sink, opts Optio
 			// Index-aware sinks see the global corpus index, so shard
 			// partials key their order-sensitive state by true corpus
 			// position and merge back into the sequential fold.
-			return deliver(sink, int64(src.GlobalIndex(i)), res)
+			return deliver(sink, int64(global(i)), res)
 		},
-		engine.StreamOptions{Options: eopts, Total: src.Len()})
+		engine.StreamOptions{Options: eopts, Total: total})
 	for _, f := range failures {
-		sum.Failures = append(sum.Failures, Failure{Name: f.Name, Index: src.GlobalIndex(f.Index), Err: f.Err})
+		sum.Failures = append(sum.Failures, Failure{Name: f.Name, Index: global(f.Index), Err: f.Err})
 	}
 	if err != nil {
 		// Surface the corpus's own (already project-labelled) cause; the
@@ -100,18 +125,18 @@ func StreamCorpus(ctx context.Context, src *corpus.Source, sink Sink, opts Optio
 		}
 		return sum, err
 	}
-	log.Info("study: corpus streamed", "projects", sum.Projects, "failures", len(sum.Failures))
+	log.Info("study: corpus analyzed", "projects", sum.Projects, "failures", len(sum.Failures))
 	return sum, nil
 }
 
-// RunStream is the streaming equivalent of Run: it generates the default
-// corpus for seed and feeds every analyzed project to sink in corpus
-// order, never holding the whole corpus or dataset. A sink built from
-// NewFigures reproduces every figure and statistic of the batch run.
+// RunStream generates the default corpus for seed and feeds every
+// analyzed project to sink in corpus order, never holding the whole
+// corpus or dataset. A sink built from NewFigures reproduces every figure
+// and statistic of the paper.
 func RunStream(ctx context.Context, seed int64, opts Options, sink Sink) (*StreamSummary, error) {
 	ctx, span := opts.Obs.StartSpan(ctx, "run")
 	defer span.End()
-	opts.Obs.Logger().Info("study: streaming run starting", "seed", seed)
+	opts.Obs.Logger().Info("study: run starting", "seed", seed)
 	cfg := corpus.DefaultConfig(seed)
 	cfg.Cache = opts.effectiveCache()
 	cfg.Obs = opts.Obs

@@ -77,7 +77,7 @@ type Options struct {
 	Cache *cache.Cache
 
 	// Obs, when non-nil, observes the run: orchestration spans (run →
-	// generate → analyze, with per-project spans from the engine), the
+	// analyze, with per-project task and stage spans from the engine), the
 	// unified metrics registry and structured logs. A nil Obs is a
 	// zero-cost no-op and study output is byte-identical either way.
 	Obs *obs.Observer
@@ -264,9 +264,9 @@ func analyze(ctx context.Context, name, ddlPath string, sh *history.SchemaHistor
 // *engine.PanicError).
 type Failure struct {
 	Name string
-	// Index is the project's global corpus index when known (streaming
-	// runs fill it; batch paths may leave it zero). Shard coordinators
-	// sort merged failure lists by it to restore corpus order.
+	// Index is the project's global corpus index (its slice position for
+	// AnalyzeCorpusContext). Shard merges sort failure lists by it to
+	// restore corpus order.
 	Index int
 	Err   error
 }
@@ -298,59 +298,26 @@ func AnalyzeCorpus(projects []*corpus.Project, opts Options) (*Dataset, error) {
 	return AnalyzeCorpusContext(context.Background(), projects, opts)
 }
 
-// AnalyzeCorpusContext measures every project of a corpus on the
-// execution engine: projects are analyzed concurrently (opts.Exec.Workers
-// bounded, default GOMAXPROCS), and the dataset's project order follows
-// the corpus order regardless of completion order, so figures and CSV
-// exports are byte-identical to a serial run.
+// AnalyzeCorpusContext measures every project of a materialized corpus:
+// the slice is streamed through the same engine path as StreamCorpus
+// into a DatasetSink. Projects are analyzed concurrently
+// (opts.Exec.Workers bounded, default GOMAXPROCS), and the dataset's
+// project order follows the slice order regardless of completion order,
+// so figures and CSV exports are byte-identical to a serial run.
 //
 // Under the default CollectErrors policy a project whose analysis fails —
-// or panics — is recorded in Dataset.Failures and the study continues;
-// the returned error is non-nil only when the run itself stops (context
-// cancellation, or the FailFast policy). Even then the partial dataset
-// accumulated so far is returned alongside the error, so an interrupted
-// run can still report what it completed.
+// or panics — is recorded in Dataset.Failures (Index is its slice
+// position) and the study continues; the returned error is non-nil only
+// when the run itself stops (context cancellation, or the FailFast
+// policy). Even then the partial dataset accumulated so far is returned
+// alongside the error, so an interrupted run can still report what it
+// completed.
 func AnalyzeCorpusContext(ctx context.Context, projects []*corpus.Project, opts Options) (*Dataset, error) {
-	eopts := opts.Exec
-	if eopts.Name == nil {
-		eopts.Name = func(i int) string { return projects[i].Name }
-	}
-	eopts.Obs = opts.Obs
-	eopts.Scope = "analyze"
-	if eopts.WorkerState == nil {
-		// Each engine worker carries its own measure scratch: tasks mutate
-		// it lock-free and nothing crosses worker boundaries.
-		eopts.WorkerState = func() any { return newMeasureScratch() }
-	}
-	ctx, span := opts.Obs.StartSpan(ctx, "analyze")
-	defer span.End()
-	span.SetArg("projects", fmt.Sprint(len(projects)))
-	log := opts.Obs.Logger()
-	log.Info("study: analyzing corpus", "projects", len(projects))
-	results, failures, err := engine.Map(ctx, projects,
-		func(ctx context.Context, _ int, p *corpus.Project) (*ProjectResult, error) {
-			res, err := analyzeProjectStaged(ctx, p, opts)
-			if err != nil {
-				return nil, err
-			}
-			intended := p.Taxon
-			res.IntendedTaxon = &intended
-			return res, nil
-		}, eopts)
-	d := &Dataset{Projects: make([]*ProjectResult, 0, len(projects))}
-	for _, res := range results {
-		if res != nil {
-			d.Projects = append(d.Projects, res)
-		}
-	}
-	for _, f := range failures {
-		d.Failures = append(d.Failures, Failure{Name: f.Name, Err: f.Err})
-	}
-	if err != nil {
-		return d, err
-	}
-	log.Info("study: corpus analyzed", "projects", len(d.Projects), "failures", len(d.Failures))
-	return d, nil
+	return collect(func(sink Sink) (*StreamSummary, error) {
+		return streamProjects(ctx, engine.SliceSource(projects), len(projects),
+			func(i int) string { return projects[i].Name },
+			func(i int) int { return i }, sink, opts)
+	})
 }
 
 // analyzeProjectStaged is the engine task body for one corpus project,
@@ -378,21 +345,13 @@ func RunDefault(seed int64) (*Dataset, error) {
 }
 
 // Run generates the default corpus with the given seed and analyzes it
-// under the given options; corpus generation reuses the analysis engine
-// configuration (worker count and event observer) and the run's Observer.
+// under the given options: RunStream into a DatasetSink, so generation
+// is the "generate" stage of each analyze task. On a stopped run the
+// partial dataset is returned alongside the error.
 func Run(ctx context.Context, seed int64, opts Options) (*Dataset, error) {
-	ctx, span := opts.Obs.StartSpan(ctx, "run")
-	defer span.End()
-	opts.Obs.Logger().Info("study: run starting", "seed", seed)
-	cfg := corpus.DefaultConfig(seed)
-	cfg.Exec.Workers = opts.Exec.Workers
-	cfg.Cache = opts.effectiveCache()
-	cfg.Obs = opts.Obs
-	projects, err := corpus.GenerateContext(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeCorpusContext(ctx, projects, opts)
+	return collect(func(sink Sink) (*StreamSummary, error) {
+		return RunStream(ctx, seed, opts, sink)
+	})
 }
 
 // postBirthDeltas returns the delta sequence excluding the schema's birth.

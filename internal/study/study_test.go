@@ -180,6 +180,10 @@ func TestAnalyzeCorpusFaultIsolation(t *testing.T) {
 		if d.Failures[0].Name != "acme/empty" || d.Failures[1].Name != "acme/poisoned" {
 			t.Errorf("workers=%d: failure order/names wrong: %+v", workers, d.Failures)
 		}
+		if d.Failures[0].Index != 3 || d.Failures[1].Index != 4 {
+			t.Errorf("workers=%d: failure indices = %d, %d; want 3, 4",
+				workers, d.Failures[0].Index, d.Failures[1].Index)
+		}
 		var pe *engine.PanicError
 		if !errors.As(d.Failures[1].Err, &pe) {
 			t.Errorf("workers=%d: poisoned project should fail with PanicError, got %v",
@@ -208,8 +212,12 @@ func TestAnalyzeCorpusFailFast(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Exec.Policy = engine.FailFast
-	if _, err := AnalyzeCorpusContext(context.Background(), projects, opts); err == nil {
+	d, err := AnalyzeCorpusContext(context.Background(), projects, opts)
+	if err == nil {
 		t.Fatal("FailFast study with a failing project must return an error")
+	}
+	if d == nil || len(d.Failures) != 1 {
+		t.Fatalf("FailFast must still return the partial dataset, got %+v", d)
 	}
 }
 
@@ -218,8 +226,12 @@ func TestAnalyzeCorpusCancellation(t *testing.T) {
 	projects := smallCorpus(t, 22, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeCorpusContext(ctx, projects, DefaultOptions()); !errors.Is(err, context.Canceled) {
+	d, err := AnalyzeCorpusContext(ctx, projects, DefaultOptions())
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if d == nil {
+		t.Fatal("a cancelled study must still return its partial dataset")
 	}
 }
 

@@ -1,7 +1,8 @@
-// Facade-redesign acceptance test: the deprecated Write* helpers, the
-// explicit Figure wrappers and Render over raw artifacts are three routes
-// to the same encoder, and must produce byte-identical output for every
-// figure and format.
+// Rendering acceptance test: Render over a raw artifact and over its
+// explicit Figure wrapper must produce byte-identical output for every
+// figure and format, equal to the report encoder the removed facade
+// Write* helpers wrapped — so migrating a Write* call to Render never
+// changes a byte.
 package coevo_test
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"coevo"
 	"coevo/internal/corpus"
+	"coevo/internal/report"
 )
 
 // renderDataset builds a reduced corpus dataset for render comparisons.
@@ -38,6 +40,10 @@ func renderDataset(t *testing.T) *coevo.Dataset {
 	return d
 }
 
+// TestRenderMatchesDeprecatedWriters pins the migration table in
+// ExampleRender: each case's encoder is what the former coevo.Write*
+// helper of that figure and format produced, and both Render routes must
+// reproduce it.
 func TestRenderMatchesDeprecatedWriters(t *testing.T) {
 	d := renderDataset(t)
 	stats, err := d.Statistics(1)
@@ -54,51 +60,51 @@ func TestRenderMatchesDeprecatedWriters(t *testing.T) {
 	cases := []struct {
 		name     string
 		format   coevo.Format
-		writer   func(io.Writer) error // deprecated entry point
+		encoder  func(io.Writer) error // the report encoder for this figure and format
 		artifact any                   // raw artifact Render wraps itself
 		figure   coevo.Figure          // explicit Figure wrapper
 	}{
 		{"joint/text", coevo.Text,
-			func(w io.Writer) error { return coevo.WriteJointProgress(w, "demo", joint) },
+			func(w io.Writer) error { return report.WriteJointProgress(w, "demo", joint) },
 			coevo.JointProgressFigure{Title: "demo", Progress: joint},
 			coevo.JointProgressFigure{Title: "demo", Progress: joint}},
 		{"joint/svg", coevo.SVG,
-			func(w io.Writer) error { return coevo.WriteJointProgressSVG(w, "demo", joint) },
+			func(w io.Writer) error { return report.WriteJointProgressSVG(w, "demo", joint) },
 			coevo.JointProgressFigure{Title: "demo", Progress: joint},
 			coevo.JointProgressFigure{Title: "demo", Progress: joint}},
 		{"histogram/text", coevo.Text,
-			func(w io.Writer) error { return coevo.WriteSyncHistogram(w, hist) },
+			func(w io.Writer) error { return report.WriteSyncHistogram(w, hist) },
 			hist, coevo.SyncHistogramFigure{Histogram: hist}},
 		{"histogram/svg", coevo.SVG,
-			func(w io.Writer) error { return coevo.WriteSyncHistogramSVG(w, hist) },
+			func(w io.Writer) error { return report.WriteSyncHistogramSVG(w, hist) },
 			hist, coevo.SyncHistogramFigure{Histogram: hist}},
 		{"scatter/text", coevo.Text,
-			func(w io.Writer) error { return coevo.WriteScatter(w, scatter) },
+			func(w io.Writer) error { return report.WriteScatter(w, scatter) },
 			scatter, coevo.ScatterFigure{Points: scatter}},
 		{"scatter/svg", coevo.SVG,
-			func(w io.Writer) error { return coevo.WriteScatterSVG(w, scatter) },
+			func(w io.Writer) error { return report.WriteScatterSVG(w, scatter) },
 			scatter, coevo.ScatterFigure{Points: scatter}},
 		{"advance/text", coevo.Text,
-			func(w io.Writer) error { return coevo.WriteAdvanceTable(w, table) },
+			func(w io.Writer) error { return report.WriteAdvanceTable(w, table) },
 			table, coevo.AdvanceTableFigure{Table: table}},
 		{"always/text", coevo.Text,
-			func(w io.Writer) error { return coevo.WriteAlwaysAdvance(w, always) },
+			func(w io.Writer) error { return report.WriteAlwaysAdvance(w, always) },
 			always, coevo.AlwaysAdvanceFigure{Summary: always}},
 		{"attainment/text", coevo.Text,
-			func(w io.Writer) error { return coevo.WriteAttainment(w, attain) },
+			func(w io.Writer) error { return report.WriteAttainment(w, attain) },
 			attain, coevo.AttainmentFigure{Breakdown: attain}},
 		{"stats/text", coevo.Text,
-			func(w io.Writer) error { return coevo.WriteStatsReport(w, stats) },
+			func(w io.Writer) error { return report.WriteStatsReport(w, stats) },
 			stats, coevo.StatsFigure{Report: stats}},
 		{"dataset/csv", coevo.CSV,
-			func(w io.Writer) error { return coevo.WriteDatasetCSV(w, d) },
+			func(w io.Writer) error { return report.WriteDatasetCSV(w, d) },
 			d, coevo.DatasetFigure{Dataset: d}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var deprecated, viaRaw, viaFigure bytes.Buffer
-			if err := tc.writer(&deprecated); err != nil {
-				t.Fatalf("deprecated writer: %v", err)
+			var encoded, viaRaw, viaFigure bytes.Buffer
+			if err := tc.encoder(&encoded); err != nil {
+				t.Fatalf("encoder: %v", err)
 			}
 			if err := coevo.Render(&viaRaw, tc.artifact, tc.format); err != nil {
 				t.Fatalf("Render(raw artifact): %v", err)
@@ -106,14 +112,14 @@ func TestRenderMatchesDeprecatedWriters(t *testing.T) {
 			if err := coevo.Render(&viaFigure, tc.figure, tc.format); err != nil {
 				t.Fatalf("Render(figure): %v", err)
 			}
-			if deprecated.Len() == 0 {
+			if encoded.Len() == 0 {
 				t.Fatal("empty rendering")
 			}
-			if !bytes.Equal(deprecated.Bytes(), viaRaw.Bytes()) {
-				t.Error("Render over the raw artifact differs from the deprecated writer")
+			if !bytes.Equal(encoded.Bytes(), viaRaw.Bytes()) {
+				t.Error("Render over the raw artifact differs from the encoder")
 			}
-			if !bytes.Equal(deprecated.Bytes(), viaFigure.Bytes()) {
-				t.Error("Render over the explicit figure differs from the deprecated writer")
+			if !bytes.Equal(encoded.Bytes(), viaFigure.Bytes()) {
+				t.Error("Render over the explicit figure differs from the encoder")
 			}
 		})
 	}

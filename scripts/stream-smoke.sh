@@ -1,21 +1,18 @@
 #!/bin/sh
 # Streaming memory smoke: run the study over a corpus roughly 10x the
-# paper's (6 taxa x PER_TAXON projects) in the default streaming mode
-# under a GOMEMLIMIT the batch pipeline cannot fit in, then assert from
-# the run ledger that the recorded live-heap peak stayed under the cap.
-# GOMEMLIMIT is a soft limit — the assertion is on the sampled peak in
-# the sealed manifest, not on surviving an OOM kill. With CHECK_BATCH=1
-# the batch mode runs at the same scale (without the limit) and must
-# exceed the cap, proving the cap separates the two modes.
+# paper's (6 taxa x PER_TAXON projects) under a GOMEMLIMIT a collect-all
+# run could not fit in, then assert from the run ledger that the recorded
+# live-heap peak stayed under the cap. GOMEMLIMIT is a soft limit — the
+# assertion is on the sampled peak in the sealed manifest, not on
+# surviving an OOM kill.
 #
 # Usage: scripts/stream-smoke.sh [per-taxon] [runlog-dir]
 set -eu
 
 PER_TAXON="${1:-334}"
 RUNLOG_DIR="${2:-stream-smoke-runs}"
-CHECK_BATCH="${CHECK_BATCH:-0}"
-# 400 MiB: about 2x the batch peak on the paper's 195-project corpus, and
-# far below what batch needs for the ~2000-project corpus used here.
+# 400 MiB: about 2x a collect-all peak on the paper's 195-project corpus,
+# and far below what collecting the ~2000-project corpus used here takes.
 LIMIT="400MiB"
 CAP_BYTES=419430400
 
@@ -38,18 +35,6 @@ echo "stream-smoke: streaming peak heap $STREAM_PEAK bytes (cap $CAP_BYTES)"
 if [ "$STREAM_PEAK" -ge "$CAP_BYTES" ]; then
     echo "stream-smoke: FAIL — streaming peak heap exceeds the cap" >&2
     exit 1
-fi
-
-if [ "$CHECK_BATCH" = "1" ]; then
-    echo "stream-smoke: batch study at the same scale (no memory limit)"
-    /tmp/coevo-stream-smoke study -stream=false -per-taxon "$PER_TAXON" \
-        -runlog-dir "$RUNLOG_DIR/batch" >/dev/null
-    BATCH_PEAK=$(peak_of "$RUNLOG_DIR/batch")
-    echo "stream-smoke: batch peak heap $BATCH_PEAK bytes"
-    if [ "$BATCH_PEAK" -le "$CAP_BYTES" ]; then
-        echo "stream-smoke: FAIL — batch fit under the cap; it no longer separates the modes" >&2
-        exit 1
-    fi
 fi
 
 echo "stream-smoke: ok"

@@ -21,11 +21,11 @@ import (
 // accumulators plus the live CSV capture.
 func streamArtifacts(f *coevo.Figures, csv []byte) map[string]func(io.Writer) error {
 	return map[string]func(io.Writer) error{
-		"figure4": func(w io.Writer) error { return coevo.WriteSyncHistogram(w, f.Sync.Histogram()) },
-		"figure5": func(w io.Writer) error { return coevo.WriteScatter(w, f.Scatter.Points()) },
-		"figure6": func(w io.Writer) error { return coevo.WriteAdvanceTable(w, f.Advance.Table()) },
-		"figure7": func(w io.Writer) error { return coevo.WriteAlwaysAdvance(w, f.Always.Summary()) },
-		"figure8": func(w io.Writer) error { return coevo.WriteAttainment(w, f.Attainment.Breakdown()) },
+		"figure4": func(w io.Writer) error { return coevo.Render(w, f.Sync.Histogram(), coevo.Text) },
+		"figure5": func(w io.Writer) error { return coevo.Render(w, f.Scatter.Points(), coevo.Text) },
+		"figure6": func(w io.Writer) error { return coevo.Render(w, f.Advance.Table(), coevo.Text) },
+		"figure7": func(w io.Writer) error { return coevo.Render(w, f.Always.Summary(), coevo.Text) },
+		"figure8": func(w io.Writer) error { return coevo.Render(w, f.Attainment.Breakdown(), coevo.Text) },
 		"csv":     func(w io.Writer) error { _, err := w.Write(csv); return err },
 	}
 }
@@ -116,10 +116,10 @@ func TestStreamingStatisticsMatchBatch(t *testing.T) {
 		t.Fatalf("batch Statistics: %v", err)
 	}
 	var sb, ss bytes.Buffer
-	if err := coevo.WriteStatsReport(&sb, batch); err != nil {
+	if err := coevo.Render(&sb, batch, coevo.Text); err != nil {
 		t.Fatal(err)
 	}
-	if err := coevo.WriteStatsReport(&ss, streamed); err != nil {
+	if err := coevo.Render(&ss, streamed, coevo.Text); err != nil {
 		t.Fatal(err)
 	}
 	if sb.String() != ss.String() {

@@ -171,12 +171,6 @@ func TestStreamPanicDoesNotStallResequencer(t *testing.T) {
 	if !errors.As(failures[0].Err, &pe) {
 		t.Fatalf("want PanicError, got %v", failures[0].Err)
 	}
-	if pe.Value != "poisoned project" || len(pe.Stack) == 0 {
-		t.Errorf("panic payload not captured: %+v", pe)
-	}
-	if !strings.Contains(pe.Error(), "poisoned project") {
-		t.Errorf("Error() = %q", pe.Error())
-	}
 	if len(got) != n-1 {
 		t.Fatalf("emitted %d results, want %d (stalled after the panic?)", len(got), n-1)
 	}
@@ -192,27 +186,28 @@ func TestStreamPanicDoesNotStallResequencer(t *testing.T) {
 	}
 }
 
-// TestStreamCollectsErrors: under CollectErrors failed tasks are reported
-// by index and name with an unwrappable cause, the run error stays nil,
-// the surviving results still emit in order, and a failed task's event
-// carries its stage timings like a finished one's.
-func TestStreamCollectsErrors(t *testing.T) {
+// mapSlice is the slice-in, slice-out use of the engine: fn runs over
+// items through Stream and a SliceSource, and each result lands at its
+// index, so a failed or panicked task leaves the zero value. The TestMap*
+// tests pin the task-failure contract through it.
+func mapSlice[T, R any](ctx context.Context, items []T, fn func(context.Context, int, T) (R, error), opts Options) ([]R, []*TaskError, error) {
+	results := make([]R, len(items))
+	failures, err := Stream(ctx, SliceSource(items), fn,
+		func(i int, res R) error { results[i] = res; return nil },
+		StreamOptions{Options: opts, Total: len(items)})
+	return results, failures, err
+}
+
+func TestMapCollectsErrors(t *testing.T) {
 	boom := errors.New("boom")
-	var events []Event
-	var got []int
-	failures, err := Stream(context.Background(), SliceSource([]int{0, 1, 2, 3, 4, 5}),
-		func(ctx context.Context, i, item int) (int, error) {
-			Stage(ctx, "extract")
-			Stage(ctx, "measure")
+	items := []int{0, 1, 2, 3, 4, 5}
+	results, failures, err := mapSlice(context.Background(), items,
+		func(_ context.Context, i, item int) (int, error) {
 			if i == 2 || i == 4 {
 				return 0, boom
 			}
 			return item + 10, nil
-		},
-		func(i, res int) error { got = append(got, res); return nil },
-		StreamOptions{Options: Options{Workers: 3, Scope: "analyze",
-			Name:    func(i int) string { return fmt.Sprintf("proj-%d", i) },
-			OnEvent: func(e Event) { events = append(events, e) }}, Total: 6})
+		}, Options{Workers: 3, Name: func(i int) string { return fmt.Sprintf("proj-%d", i) }})
 	if err != nil {
 		t.Fatalf("CollectErrors must not surface task errors as run error: %v", err)
 	}
@@ -225,23 +220,88 @@ func TestStreamCollectsErrors(t *testing.T) {
 	if failures[0].Name != "proj-2" {
 		t.Errorf("failure name = %q", failures[0].Name)
 	}
-	if fmt.Sprint(got) != "[10 11 13 15]" {
-		t.Errorf("emitted %v", got)
+	if results[2] != 0 || results[3] != 13 {
+		t.Errorf("results = %v", results)
 	}
-	var failed int
+}
+
+func TestMapPanicIsolation(t *testing.T) {
+	items := []int{0, 1, 2, 3}
+	results, failures, err := mapSlice(context.Background(), items,
+		func(_ context.Context, i, item int) (int, error) {
+			if i == 1 {
+				panic("poisoned history")
+			}
+			return item, nil
+		}, Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("panic must not abort the run: %v", err)
+	}
+	if len(failures) != 1 || failures[0].Index != 1 {
+		t.Fatalf("failures = %+v", failures)
+	}
+	var pe *PanicError
+	if !errors.As(failures[0].Err, &pe) {
+		t.Fatalf("want PanicError, got %T: %v", failures[0].Err, failures[0].Err)
+	}
+	if pe.Value != "poisoned history" || len(pe.Stack) == 0 {
+		t.Errorf("panic payload not captured: %+v", pe)
+	}
+	if !strings.Contains(pe.Error(), "poisoned history") {
+		t.Errorf("Error() = %q", pe.Error())
+	}
+	if results[0] != 0 || results[2] != 2 || results[3] != 3 {
+		t.Errorf("surviving results lost: %v", results)
+	}
+}
+
+func TestMapEventsAndStages(t *testing.T) {
+	var events []Event
+	items := []int{0, 1, 2}
+	_, _, err := mapSlice(context.Background(), items,
+		func(ctx context.Context, i, item int) (int, error) {
+			Stage(ctx, "extract")
+			Stage(ctx, "measure")
+			if i == 1 {
+				return 0, errors.New("bad")
+			}
+			return item, nil
+		}, Options{Workers: 2, Scope: "analyze", OnEvent: func(e Event) { events = append(events, e) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started, finished, failed int
+	lastDone := 0
 	for _, e := range events {
-		if e.Type == TaskStarted {
-			continue
+		if e.Scope != "analyze" {
+			t.Errorf("event scope = %q, want %q", e.Scope, "analyze")
 		}
-		if len(e.Stages) != 2 || e.Stages[0].Name != "extract" || e.Stages[1].Name != "measure" {
-			t.Errorf("%s stages = %+v", e.Name, e.Stages)
-		}
-		if e.Type == TaskFailed {
+		switch e.Type {
+		case TaskStarted:
+			started++
+		case TaskFinished:
+			finished++
+		case TaskFailed:
 			failed++
 		}
+		if e.Type != TaskStarted {
+			if e.Done < lastDone {
+				t.Errorf("Done went backwards: %d after %d", e.Done, lastDone)
+			}
+			lastDone = e.Done
+			if len(e.Stages) != 2 || e.Stages[0].Name != "extract" || e.Stages[1].Name != "measure" {
+				t.Errorf("stages = %+v", e.Stages)
+			}
+			if e.Total != 3 {
+				t.Errorf("Total = %d", e.Total)
+			}
+		}
 	}
-	if failed != 2 {
-		t.Errorf("failed events = %d, want 2", failed)
+	if started != 3 || finished != 2 || failed != 1 {
+		t.Fatalf("event counts: started %d finished %d failed %d", started, finished, failed)
+	}
+	if lastDone != 3 {
+		t.Errorf("final Done = %d", lastDone)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"coevo/internal/history"
 	"coevo/internal/schema"
 	"coevo/internal/schemadiff"
+	"coevo/internal/sqlddl"
 	"coevo/internal/taxa"
 )
 
@@ -109,8 +110,8 @@ func TestGeneratedProjectsAnalyzable(t *testing.T) {
 			t.Errorf("%s: zero total activity (birth should count)", p.Name)
 		}
 		for i, v := range sh.Versions {
-			if len(v.Diagnostics) > 0 {
-				t.Errorf("%s: version %d has parse diagnostics: %v", p.Name, i, v.Diagnostics[0])
+			if !v.Report.Clean() {
+				t.Errorf("%s: version %d did not parse cleanly: %+v", p.Name, i, v.Report)
 			}
 		}
 		ph, err := history.ExtractProjectHistory(p.Repo)
@@ -167,15 +168,15 @@ func TestSchemaBuilderExactUnits(t *testing.T) {
 		b := newSchemaBuilder(rng)
 		b.addTable(3 + rng.Intn(5))
 		b.addTable(2 + rng.Intn(5))
-		prev, errs := schema.ParseAndBuild(b.render())
-		if len(errs) > 0 {
-			t.Fatalf("initial render diagnostics: %v", errs)
+		prev, rep := schema.ParseAndBuildDialect(b.render(), sqlddl.Generic)
+		if !rep.Clean() {
+			t.Fatalf("initial render diagnostics: %v", rep.Diags)
 		}
 		units := 1 + rng.Intn(25)
 		b.applyUnits(units)
-		next, errs := schema.ParseAndBuild(b.render())
-		if len(errs) > 0 {
-			t.Fatalf("mutated render diagnostics: %v", errs)
+		next, rep := schema.ParseAndBuildDialect(b.render(), sqlddl.Generic)
+		if !rep.Clean() {
+			t.Fatalf("mutated render diagnostics: %v", rep.Diags)
 		}
 		delta := schemadiff.Compare(prev, next)
 		if got := delta.TotalActivity(); got != units {

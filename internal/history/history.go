@@ -63,9 +63,6 @@ type SchemaVersion struct {
 	// Schema is the logical schema reconstructed from Raw (an empty schema
 	// for a deleted or unparseable file).
 	Schema *schema.Schema
-	// Diagnostics collects lenient-parse and build warnings in their
-	// legacy error form; Report carries the same problems structured.
-	Diagnostics []error
 	// Report is the structured parse outcome: resolved dialect, statement
 	// accounting and coded diagnostics. Zero for deleted versions.
 	Report schema.ParseReport
@@ -185,7 +182,6 @@ func ExtractSchemaHistoryFromVersions(path string, fileVersions []vcs.FileVersio
 			s, rep := schema.ParseAndBuildCachedDialect(fv.Content, opts.Dialect, opts.Cache)
 			sv.Schema = s
 			sv.Report = rep
-			sv.Diagnostics = rep.Errors()
 			if s.TableCount() > 0 {
 				anyCreate = true
 			}
@@ -247,7 +243,7 @@ func firstVersionHasCreate(versions []vcs.FileVersion) bool {
 		if v.Deleted {
 			continue
 		}
-		s, _ := schema.ParseAndBuild(string(v.Content))
+		s, _ := schema.ParseAndBuildDialect(string(v.Content), sqlddl.Generic)
 		return s.TableCount() > 0
 	}
 	return false

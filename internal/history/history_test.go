@@ -2,11 +2,13 @@ package history
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"coevo/internal/gitlog"
+	"coevo/internal/sqlddl"
 	"coevo/internal/vcs"
 )
 
@@ -433,5 +435,68 @@ func TestSchemaHistoryFromContentsIdenticalVersions(t *testing.T) {
 	// Both versions survive; the second is an inactive commit.
 	if sh.CommitCount() != 2 || sh.ActiveCommits() != 1 {
 		t.Errorf("commits = %d active = %d", sh.CommitCount(), sh.ActiveCommits())
+	}
+}
+
+// TestParseHealthFromContents pins the per-version parse reports and
+// their aggregate: one clean version, one with a malformed CREATE TABLE
+// the parser recovers from, one whose ALTER names a missing table, and a
+// byte-identical repeat of it.
+func TestParseHealthFromContents(t *testing.T) {
+	missingAlter := []byte("CREATE TABLE t (a INT, b INT);\nALTER TABLE missing ADD COLUMN c INT;\n")
+	versions := []DatedContent{
+		{When: time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC), Content: []byte("CREATE TABLE t (a INT);\n")},
+		{When: time.Date(2016, 2, 1, 0, 0, 0, 0, time.UTC), Content: []byte("CREATE TABLE t (a INT, b INT);\nCREATE TABLE broken (x INT;\n")},
+		{When: time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC), Content: missingAlter},
+		{When: time.Date(2016, 4, 1, 0, 0, 0, 0, time.UTC), Content: missingAlter},
+	}
+	sh, err := SchemaHistoryFromContents("schema.sql", versions, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		stats sqlddl.ParseStats
+		codes []string
+		line  int // line of the single diagnostic, if any
+	}{
+		{sqlddl.ParseStats{Attempted: 1, Parsed: 1}, nil, 0},
+		{sqlddl.ParseStats{Attempted: 2, Parsed: 1, Recovered: 1}, []string{sqlddl.CodeSynToken}, 2},
+		{sqlddl.ParseStats{Attempted: 2, Parsed: 2}, []string{sqlddl.CodeSemApply}, 2},
+		{sqlddl.ParseStats{Attempted: 2, Parsed: 2}, []string{sqlddl.CodeSemApply}, 2},
+	}
+	if len(sh.Versions) != len(want) {
+		t.Fatalf("versions = %d, want %d", len(sh.Versions), len(want))
+	}
+	for i, w := range want {
+		rep := sh.Versions[i].Report
+		if rep.Dialect != sqlddl.Generic || rep.Stats != w.stats {
+			t.Errorf("version %d: dialect %s stats %+v, want generic %+v", i, rep.Dialect, rep.Stats, w.stats)
+		}
+		var codes []string
+		for _, d := range rep.Diags {
+			codes = append(codes, d.Code)
+			if d.Category != sqlddl.CategoryOf(d.Code) || d.Line != w.line {
+				t.Errorf("version %d: diagnostic %+v, want category %q on line %d", i, d, sqlddl.CategoryOf(d.Code), w.line)
+			}
+		}
+		if !reflect.DeepEqual(codes, w.codes) {
+			t.Errorf("version %d: codes %v, want %v", i, codes, w.codes)
+		}
+		if got := rep.Clean(); got != (i == 0) {
+			t.Errorf("version %d: Clean = %v", i, got)
+		}
+	}
+	got := sh.ParseHealth()
+	wantHealth := ParseHealth{
+		Dialect:       "generic",
+		Versions:      4,
+		CleanVersions: 1,
+		Stats:         sqlddl.ParseStats{Attempted: 7, Parsed: 6, Recovered: 1},
+		Syntax:        1,
+		Semantic:      2,
+		NoOpCommits:   1,
+	}
+	if got != wantHealth {
+		t.Errorf("ParseHealth = %+v\nwant          %+v", got, wantHealth)
 	}
 }

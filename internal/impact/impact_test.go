@@ -10,14 +10,15 @@ import (
 	"coevo/internal/history"
 	"coevo/internal/schema"
 	"coevo/internal/schemadiff"
+	"coevo/internal/sqlddl"
 	"coevo/internal/vcs"
 )
 
 func mustSchema(t *testing.T, src string) *schema.Schema {
 	t.Helper()
-	s, errs := schema.ParseAndBuild(src)
-	if len(errs) > 0 {
-		t.Fatal(errs)
+	s, rep := schema.ParseAndBuildDialect(src, sqlddl.Generic)
+	if !rep.Clean() {
+		t.Fatal(rep.Diags)
 	}
 	return s
 }

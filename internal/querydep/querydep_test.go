@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"coevo/internal/schema"
+	"coevo/internal/sqlddl"
 )
 
 func TestTableRefs(t *testing.T) {
@@ -78,9 +79,9 @@ func TestExtractQueriesEscapes(t *testing.T) {
 }
 
 func TestResolve(t *testing.T) {
-	s, errs := schema.ParseAndBuild("CREATE TABLE notes (id INT); CREATE TABLE users (id INT);")
-	if len(errs) > 0 {
-		t.Fatal(errs)
+	s, rep := schema.ParseAndBuildDialect("CREATE TABLE notes (id INT); CREATE TABLE users (id INT);", sqlddl.Generic)
+	if !rep.Clean() {
+		t.Fatal(rep.Diags)
 	}
 	src := []byte(`
 		a := "SELECT * FROM notes JOIN missing_table ON 1=1"
@@ -97,7 +98,7 @@ func TestResolve(t *testing.T) {
 }
 
 func TestResolveNoQueries(t *testing.T) {
-	s, _ := schema.ParseAndBuild("CREATE TABLE t (a INT);")
+	s, _ := schema.ParseAndBuildDialect("CREATE TABLE t (a INT);", sqlddl.Generic)
 	dep := Resolve("plain.go", []byte(`package plain // nothing here`), s)
 	if dep.Queries != 0 || len(dep.Tables) != 0 {
 		t.Errorf("dep = %+v", dep)

@@ -163,11 +163,3 @@ func ParseAndBuildCachedDialect(src []byte, dialect sqlddl.Dialect, c *cache.Cac
 	c.Put(key, encodeParseValue(s, rep))
 	return s, rep
 }
-
-// ParseAndBuildCached is the legacy Generic-dialect entry point: the same
-// memoized parse with diagnostics rendered back to their historical error
-// strings. Prefer ParseAndBuildCachedDialect, which keeps the structure.
-func ParseAndBuildCached(src []byte, c *cache.Cache) (*Schema, []error) {
-	s, rep := ParseAndBuildCachedDialect(src, sqlddl.Generic, c)
-	return s, rep.Errors()
-}

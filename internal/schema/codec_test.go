@@ -8,6 +8,7 @@ import (
 	"coevo/internal/cache"
 	"coevo/internal/schema"
 	"coevo/internal/schematest"
+	"coevo/internal/sqlddl"
 )
 
 // schemasEqual compares two schemas structurally: table order, attribute
@@ -80,7 +81,7 @@ func TestDecodeBinaryRejectsGarbage(t *testing.T) {
 }
 
 // TestParseAndBuildCachedMatchesPlain: the cached parse returns the same
-// schema and the same diagnostics (as messages) on miss and on hit.
+// schema and the same parse report on miss and on hit.
 func TestParseAndBuildCachedMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	c := cache.NewMemory()
@@ -93,17 +94,12 @@ func TestParseAndBuildCachedMatchesPlain(t *testing.T) {
 		srcs = append(srcs, schematest.RandomDDL(rng))
 	}
 	for _, src := range srcs {
-		want, wantErrs := schema.ParseAndBuild(src)
+		want, wantRep := schema.ParseAndBuildDialect(src, sqlddl.Generic)
 		for round := 0; round < 2; round++ { // miss, then hit
-			got, gotErrs := schema.ParseAndBuildCached([]byte(src), c)
+			got, gotRep := schema.ParseAndBuildCachedDialect([]byte(src), sqlddl.Generic, c)
 			schemasEqual(t, want, got)
-			if len(gotErrs) != len(wantErrs) {
-				t.Fatalf("round %d: %d diagnostics != %d for %q", round, len(gotErrs), len(wantErrs), src)
-			}
-			for j := range gotErrs {
-				if gotErrs[j].Error() != wantErrs[j].Error() {
-					t.Fatalf("round %d: diagnostic %d: %q != %q", round, j, gotErrs[j], wantErrs[j])
-				}
+			if !reflect.DeepEqual(gotRep, wantRep) {
+				t.Fatalf("round %d: report diverged for %q:\n got %+v\nwant %+v", round, src, gotRep, wantRep)
 			}
 		}
 	}
@@ -115,10 +111,10 @@ func TestParseAndBuildCachedMatchesPlain(t *testing.T) {
 // TestParseAndBuildCachedNilCache: a nil cache degrades to the plain path.
 func TestParseAndBuildCachedNilCache(t *testing.T) {
 	src := "CREATE TABLE t (a INT);"
-	want, _ := schema.ParseAndBuild(src)
-	got, errs := schema.ParseAndBuildCached([]byte(src), nil)
-	if len(errs) != 0 {
-		t.Fatalf("diagnostics: %v", errs)
+	want, _ := schema.ParseAndBuildDialect(src, sqlddl.Generic)
+	got, rep := schema.ParseAndBuildCachedDialect([]byte(src), sqlddl.Generic, nil)
+	if !rep.Clean() {
+		t.Fatalf("report = %+v, want clean", rep)
 	}
 	schemasEqual(t, want, got)
 }

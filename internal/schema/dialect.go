@@ -5,11 +5,7 @@
 // cached measurements are unaffected unless a dialect is requested.
 package schema
 
-import (
-	"fmt"
-
-	"coevo/internal/sqlddl"
-)
+import "coevo/internal/sqlddl"
 
 // dialectSynonyms canonicalizes type spellings that only exist in one
 // vendor's dialect. The maps apply before the cross-vendor typeSynonyms
@@ -64,22 +60,12 @@ type ParseReport struct {
 // diagnostic.
 func (r ParseReport) Clean() bool { return r.Stats.Clean() && len(r.Diags) == 0 }
 
-// CountByCategory tallies the report's diagnostics per category. Unknown
-// codes land under "" so report layers can flag them.
-func (r ParseReport) CountByCategory() map[string]int {
-	if len(r.Diags) == 0 {
-		return nil
-	}
-	out := make(map[string]int)
-	for _, d := range r.Diags {
-		out[d.Category]++
-	}
-	return out
-}
-
-// BuildDialect replays a parsed script against an empty schema like
-// Build, but reports apply problems as semantic diagnostics anchored to
-// the offending statement's line instead of bare errors.
+// BuildDialect reconstructs the schema described by a whole DDL script:
+// the file is replayed statement by statement against an empty schema,
+// matching the study's treatment of each version of the DDL file as a
+// self-contained schema declaration. Apply problems come back as
+// semantic diagnostics anchored to the offending statement's line
+// alongside the (always non-nil) schema.
 func BuildDialect(script *sqlddl.Script) (*Schema, []sqlddl.Diagnostic) {
 	s := New()
 	s.dialect = script.Dialect
@@ -114,25 +100,6 @@ func ParseAndBuildDialect(src string, d sqlddl.Dialect) (*Schema, ParseReport) {
 	}
 	release()
 	return s, rep
-}
-
-// Errors renders the report's diagnostics in the error form the
-// pre-dialect ParseAndBuild returned: parser problems keep the exact
-// "sqlddl: line N: msg" spelling, semantic problems keep their bare
-// message. Callers that only count or print diagnostics see no change.
-func (r ParseReport) Errors() []error {
-	if len(r.Diags) == 0 {
-		return nil
-	}
-	out := make([]error, len(r.Diags))
-	for i, d := range r.Diags {
-		if d.Category == sqlddl.CategorySemantic {
-			out[i] = fmt.Errorf("%s", d.Msg)
-		} else {
-			out[i] = fmt.Errorf("sqlddl: line %d: %s", d.Line, d.Msg)
-		}
-	}
-	return out
 }
 
 // firstLine trims a statement's raw text to its first line for snippet

@@ -318,7 +318,6 @@ var serialTypes = map[string]bool{"SERIAL": true, "BIGSERIAL": true, "SMALLSERIA
 // Errors surfaced while applying DDL to a schema. Application is
 // best-effort by design; these are diagnostics, not failures.
 var (
-	ErrTableExists   = errors.New("schema: table already exists")
 	ErrNoSuchTable   = errors.New("schema: no such table")
 	ErrColumnExists  = errors.New("schema: column already exists")
 	ErrNoSuchColumn  = errors.New("schema: no such column")
@@ -514,30 +513,4 @@ func (s *Schema) applyAlter(at *sqlddl.AlterTable) []error {
 		}
 	}
 	return errs
-}
-
-// Build reconstructs the schema described by a whole DDL script: the file
-// is replayed statement by statement against an empty schema. This matches
-// the study's treatment of each version of the DDL file as a self-contained
-// schema declaration. Diagnostics are returned alongside the (always
-// non-nil) schema.
-func Build(script *sqlddl.Script) (*Schema, []error) {
-	s := New()
-	s.dialect = script.Dialect
-	var errs []error
-	for _, stmt := range script.Statements {
-		errs = append(errs, s.Apply(stmt)...)
-	}
-	return s, errs
-}
-
-// ParseAndBuild parses src leniently and builds the schema it declares.
-// Parsing runs on a pooled reusable parser: Build copies everything it
-// keeps out of the AST (attribute values and strings, never nodes), so
-// the script can be recycled the moment the schema is built.
-func ParseAndBuild(src string) (*Schema, []error) {
-	script, parseErrs, release := sqlddl.ParseLenientPooled(src)
-	s, buildErrs := Build(script)
-	release()
-	return s, append(parseErrs, buildErrs...)
 }

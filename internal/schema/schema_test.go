@@ -13,11 +13,34 @@ import (
 
 func build(t *testing.T, src string) *Schema {
 	t.Helper()
-	s, errs := ParseAndBuild(src)
-	for _, err := range errs {
-		t.Fatalf("ParseAndBuild(%q): %v", src, err)
+	s, rep := ParseAndBuildDialect(src, sqlddl.Generic)
+	for _, d := range rep.Diags {
+		t.Fatalf("ParseAndBuildDialect(%q): %v", src, d)
 	}
 	return s
+}
+
+// parseStatements parses well-formed DDL into its statements.
+func parseStatements(t *testing.T, src string) []sqlddl.Statement {
+	t.Helper()
+	script, diags := sqlddl.ParseWithDiagnostics(src, sqlddl.Generic)
+	for _, d := range diags {
+		t.Fatalf("ParseWithDiagnostics(%q): %v", src, d)
+	}
+	return script.Statements
+}
+
+// applyErrors replays src against an empty schema through Apply, which
+// keeps the sentinel errors that BuildDialect flattens into semantic
+// diagnostics.
+func applyErrors(t *testing.T, src string) []error {
+	t.Helper()
+	s := New()
+	var errs []error
+	for _, stmt := range parseStatements(t, src) {
+		errs = append(errs, s.Apply(stmt)...)
+	}
+	return errs
 }
 
 func TestBuildBasic(t *testing.T) {
@@ -135,7 +158,7 @@ func TestPostgresAlterColumnForms(t *testing.T) {
 }
 
 func TestDiagnosticsForMissingObjects(t *testing.T) {
-	_, errs := ParseAndBuild(`
+	errs := applyErrors(t, `
 		ALTER TABLE missing ADD COLUMN a INT;
 		DROP TABLE also_missing;`)
 	if len(errs) != 2 {
@@ -147,16 +170,16 @@ func TestDiagnosticsForMissingObjects(t *testing.T) {
 }
 
 func TestIfExistsSuppressesDiagnostics(t *testing.T) {
-	_, errs := ParseAndBuild(`
+	_, rep := ParseAndBuildDialect(`
 		DROP TABLE IF EXISTS missing;
-		ALTER TABLE IF EXISTS missing ADD COLUMN a INT;`)
-	if len(errs) != 0 {
-		t.Errorf("errs = %v, want none", errs)
+		ALTER TABLE IF EXISTS missing ADD COLUMN a INT;`, sqlddl.Generic)
+	if !rep.Clean() {
+		t.Errorf("report = %+v, want clean", rep)
 	}
 }
 
 func TestRedefinedTableLastWins(t *testing.T) {
-	s, _ := ParseAndBuild(`
+	s := build(t, `
 		CREATE TABLE t (a INT);
 		CREATE TABLE t (a INT, b INT, c INT);`)
 	tab, _ := s.Table("t")
@@ -166,7 +189,7 @@ func TestRedefinedTableLastWins(t *testing.T) {
 }
 
 func TestCreateIfNotExistsKeepsOriginal(t *testing.T) {
-	s, _ := ParseAndBuild(`
+	s := build(t, `
 		CREATE TABLE t (a INT);
 		CREATE TABLE IF NOT EXISTS t (a INT, b INT);`)
 	tab, _ := s.Table("t")
@@ -220,8 +243,7 @@ func TestCloneIsDeep(t *testing.T) {
 	s := build(t, "CREATE TABLE t (a INT, PRIMARY KEY (a));")
 	c := s.Clone()
 	// Mutate the clone through DDL; the original must be unaffected.
-	script, _ := sqlddl.ParseLenient("ALTER TABLE t ADD COLUMN b TEXT; ALTER TABLE t DROP PRIMARY KEY;")
-	for _, stmt := range script.Statements {
+	for _, stmt := range parseStatements(t, "ALTER TABLE t ADD COLUMN b TEXT; ALTER TABLE t DROP PRIMARY KEY;") {
 		c.Apply(stmt)
 	}
 	origT, _ := s.Table("t")
@@ -242,7 +264,7 @@ func TestSortedTableNames(t *testing.T) {
 }
 
 func TestDuplicateColumnDiagnostic(t *testing.T) {
-	_, errs := ParseAndBuild("CREATE TABLE t (a INT, a TEXT);")
+	errs := applyErrors(t, "CREATE TABLE t (a INT, a TEXT);")
 	found := false
 	for _, err := range errs {
 		if errors.Is(err, ErrColumnExists) {
@@ -265,8 +287,8 @@ func TestQuickAddColumnsOrdered(t *testing.T) {
 		for i := 0; i < count; i++ {
 			fmt.Fprintf(&b, "ALTER TABLE t ADD COLUMN col_%d INT;", i)
 		}
-		s, errs := ParseAndBuild(b.String())
-		if len(errs) > 0 {
+		s, rep := ParseAndBuildDialect(b.String(), sqlddl.Generic)
+		if !rep.Clean() {
 			return false
 		}
 		tab, ok := s.Table("t")
@@ -290,7 +312,7 @@ func TestQuickAddColumnsOrdered(t *testing.T) {
 func TestQuickDropConsistency(t *testing.T) {
 	f := func(drops []uint8) bool {
 		src := "CREATE TABLE t (c0 INT, c1 INT, c2 INT, c3 INT, c4 INT, c5 INT, c6 INT, c7 INT);"
-		s, _ := ParseAndBuild(src)
+		s := build(t, src)
 		tab, _ := s.Table("t")
 		alive := map[string]bool{}
 		for i := 0; i < 8; i++ {
@@ -298,8 +320,7 @@ func TestQuickDropConsistency(t *testing.T) {
 		}
 		for _, d := range drops {
 			name := fmt.Sprintf("c%d", int(d)%8)
-			script, _ := sqlddl.ParseLenient("ALTER TABLE t DROP COLUMN " + name + ";")
-			s.Apply(script.Statements[0])
+			s.Apply(parseStatements(t, "ALTER TABLE t DROP COLUMN "+name+";")[0])
 			delete(alive, name)
 		}
 		if len(tab.Attributes()) != len(alive) {

@@ -5,6 +5,7 @@ import (
 
 	"coevo/internal/race"
 	"coevo/internal/schema"
+	"coevo/internal/sqlddl"
 )
 
 const allocOldDDL = `CREATE TABLE users (
@@ -47,9 +48,9 @@ const diffBudget = 8 // measured 5: the Delta and its change slices
 
 func mustBuild(t testing.TB, ddl string) *schema.Schema {
 	t.Helper()
-	s, errs := schema.ParseAndBuild(ddl)
-	if len(errs) > 0 {
-		t.Fatalf("build: %v", errs)
+	s, rep := schema.ParseAndBuildDialect(ddl, sqlddl.Generic)
+	if !rep.Clean() {
+		t.Fatalf("build: %v", rep.Diags)
 	}
 	return s
 }

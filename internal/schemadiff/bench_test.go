@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coevo/internal/schema"
+	"coevo/internal/sqlddl"
 )
 
 func benchSchemaOf(b *testing.B, tables, attrs, skew int) *schema.Schema {
@@ -25,7 +26,7 @@ func benchSchemaOf(b *testing.B, tables, attrs, skew int) *schema.Schema {
 		}
 		sb.WriteString(", PRIMARY KEY (c0));") // c0 may not exist with skew; fine for benches
 	}
-	s, _ := schema.ParseAndBuild(sb.String())
+	s, _ := schema.ParseAndBuildDialect(sb.String(), sqlddl.Generic)
 	return s
 }
 

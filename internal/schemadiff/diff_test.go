@@ -7,13 +7,14 @@ import (
 	"testing/quick"
 
 	"coevo/internal/schema"
+	"coevo/internal/sqlddl"
 )
 
 func mustSchema(t *testing.T, src string) *schema.Schema {
 	t.Helper()
-	s, errs := schema.ParseAndBuild(src)
-	if len(errs) > 0 {
-		t.Fatalf("ParseAndBuild(%q): %v", src, errs)
+	s, rep := schema.ParseAndBuildDialect(src, sqlddl.Generic)
+	if !rep.Clean() {
+		t.Fatalf("ParseAndBuildDialect(%q): %v", src, rep.Diags)
 	}
 	return s
 }
@@ -160,7 +161,7 @@ func TestQuickSymmetry(t *testing.T) {
 			}
 			b.WriteString(");")
 		}
-		s, _ := schema.ParseAndBuild(b.String())
+		s, _ := schema.ParseAndBuildDialect(b.String(), sqlddl.Generic)
 		return s
 	}
 	f := func(ta, aa, tb, ab uint8) bool {
@@ -199,7 +200,7 @@ func TestQuickSelfDiffEmpty(t *testing.T) {
 			}
 			b.WriteString(");")
 		}
-		s, _ := schema.ParseAndBuild(b.String())
+		s, _ := schema.ParseAndBuildDialect(b.String(), sqlddl.Generic)
 		return Compare(s, s).IsEmpty() && Compare(s, s.Clone()).IsEmpty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -225,7 +226,7 @@ func TestQuickChangesMatchCounters(t *testing.T) {
 				}
 				b.WriteString(");")
 			}
-			s, _ := schema.ParseAndBuild(b.String())
+			s, _ := schema.ParseAndBuildDialect(b.String(), sqlddl.Generic)
 			return s
 		}
 		d := Compare(mk(seedA), mk(seedB))

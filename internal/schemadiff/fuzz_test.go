@@ -7,6 +7,7 @@ import (
 	"coevo/internal/cache"
 	"coevo/internal/schema"
 	"coevo/internal/schemadiff"
+	"coevo/internal/sqlddl"
 )
 
 // fuzzCache is shared across fuzz iterations so the cached diff path is
@@ -31,8 +32,8 @@ func FuzzCompare(f *testing.F) {
 		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, oldSrc, newSrc string) {
-		oldSchema, _ := schema.ParseAndBuild(oldSrc)
-		newSchema, _ := schema.ParseAndBuild(newSrc)
+		oldSchema, _ := schema.ParseAndBuildDialect(oldSrc, sqlddl.Generic)
+		newSchema, _ := schema.ParseAndBuildDialect(newSrc, sqlddl.Generic)
 		d := schemadiff.Compare(oldSchema, newSchema)
 		counts := []int{
 			d.TablesCreated, d.TablesDropped,
@@ -59,8 +60,8 @@ func FuzzCompare(f *testing.F) {
 				t.Fatalf("Compare(s, s) not empty: %s", self)
 			}
 		}
-		// Differential: the pooled-codec cached path (and ParseAndBuild's
-		// internal reusable parser) must agree byte-for-byte with the
+		// Differential: the pooled-codec cached path (and ParseAndBuildDialect's
+		// pooled reusable parser) must agree byte-for-byte with the
 		// direct Compare, both on first sight and when served from cache.
 		for i := 0; i < 2; i++ {
 			cached := schemadiff.SequenceCached([]*schema.Schema{oldSchema, newSchema}, fuzzCache)

@@ -5,17 +5,17 @@
 // single- or multi-column primary keys.
 //
 // Generation goes through DDL text and the real parser (RandomSchema is
-// ParseAndBuild of RandomDDL), so every generated schema is one the
+// ParseAndBuildDialect of RandomDDL), so every generated schema is one the
 // pipeline could actually encounter.
 package schematest
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 
 	"coevo/internal/schema"
+	"coevo/internal/sqlddl"
 )
 
 // attrTypes spans the type zoo the parser normalizes, including
@@ -73,18 +73,14 @@ func RandomDDL(rng *rand.Rand) string {
 }
 
 // RandomSchema parses a RandomDDL script into a logical schema. The
-// generator only emits well-formed DDL; a diagnostic therefore means the
-// generator and parser disagree, which is a bug worth a loud stop.
+// generator only emits well-formed DDL (a redefined table legally
+// replaces the earlier one), so a diagnostic means the generator and
+// parser disagree, which is a bug worth a loud stop.
 func RandomSchema(rng *rand.Rand) *schema.Schema {
 	src := RandomDDL(rng)
-	s, errs := schema.ParseAndBuild(src)
-	for _, err := range errs {
-		// Duplicate CREATE TABLE of one name is legal lenient input (the
-		// builder reports it and keeps the first definition); anything
-		// else is a generator bug.
-		if !errors.Is(err, schema.ErrTableExists) {
-			panic(fmt.Sprintf("schematest: generated DDL rejected: %v\n%s", err, src))
-		}
+	s, rep := schema.ParseAndBuildDialect(src, sqlddl.Generic)
+	if !rep.Clean() {
+		panic(fmt.Sprintf("schematest: generated DDL rejected: %+v\n%s", rep, src))
 	}
 	return s
 }

@@ -5,13 +5,14 @@ import (
 
 	"coevo/internal/schema"
 	"coevo/internal/smo"
+	"coevo/internal/sqlddl"
 )
 
 // ExampleDerive turns a schema diff into an executable, invertible
 // migration.
 func ExampleDerive() {
-	old, _ := schema.ParseAndBuild("CREATE TABLE t (a INT, b VARCHAR(10));")
-	target, _ := schema.ParseAndBuild("CREATE TABLE t (a BIGINT, c TEXT);")
+	old, _ := schema.ParseAndBuildDialect("CREATE TABLE t (a INT, b VARCHAR(10));", sqlddl.Generic)
+	target, _ := schema.ParseAndBuildDialect("CREATE TABLE t (a BIGINT, c TEXT);", sqlddl.Generic)
 
 	seq := smo.Derive(old, target)
 	fmt.Println(seq)

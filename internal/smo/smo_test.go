@@ -13,9 +13,9 @@ import (
 
 func mustSchema(t *testing.T, src string) *schema.Schema {
 	t.Helper()
-	s, errs := schema.ParseAndBuild(src)
-	if len(errs) > 0 {
-		t.Fatalf("ParseAndBuild(%q): %v", src, errs)
+	s, rep := schema.ParseAndBuildDialect(src, sqlddl.Generic)
+	if !rep.Clean() {
+		t.Fatalf("ParseAndBuildDialect(%q): %v", src, rep.Diags)
 	}
 	return s
 }
@@ -179,7 +179,7 @@ func TestQuickDeriveApplyInvert(t *testing.T) {
 			}
 			b.WriteString(");")
 		}
-		s, _ := schema.ParseAndBuild(b.String())
+		s, _ := schema.ParseAndBuildDialect(b.String(), sqlddl.Generic)
 		return s
 	}
 	f := func(a, b uint32) bool {

@@ -46,7 +46,7 @@ const (
 // steady-state capacity.
 func warm(p *Parser, src string) {
 	for i := 0; i < 4; i++ {
-		p.ParseLenient(src)
+		p.ParseWithDiagnostics(src, Generic)
 	}
 }
 
@@ -74,9 +74,9 @@ func TestParseDDLAllocBudget(t *testing.T) {
 	p := NewParser()
 	warm(p, allocDDL)
 	avg := testing.AllocsPerRun(200, func() {
-		script, errs := p.ParseLenient(allocDDL)
-		if len(errs) > 0 {
-			t.Fatalf("parse errors: %v", errs)
+		script, diags := p.ParseWithDiagnostics(allocDDL, Generic)
+		if len(diags) > 0 {
+			t.Fatalf("parse diagnostics: %v", diags)
 		}
 		if len(script.Statements) == 0 {
 			t.Fatal("no statements")
@@ -93,6 +93,6 @@ func BenchmarkParseReuse(b *testing.B) {
 	warm(p, allocDDL)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.ParseLenient(allocDDL)
+		p.ParseWithDiagnostics(allocDDL, Generic)
 	}
 }

@@ -42,12 +42,12 @@ func BenchmarkParse20Tables(b *testing.B) {
 	}
 }
 
-func BenchmarkParseLenient100Tables(b *testing.B) {
+func BenchmarkParseWithDiagnostics100Tables(b *testing.B) {
 	src := benchSchema(100)
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		script, _ := ParseLenient(src)
+		script, _ := ParseWithDiagnostics(src, Generic)
 		if len(script.CreateTables()) != 100 {
 			b.Fatal("lost tables")
 		}

@@ -6,10 +6,9 @@ import (
 )
 
 // Diagnostic is one categorized parse problem with its source position.
-// It is the structured form of the errors ParseLenient returns: every
-// recovering parse records one Diagnostic per problem it survived, so a
-// mining pipeline can report parse health instead of dropping input
-// silently.
+// ParseWithDiagnostics and its Parser and pooled variants return one
+// Diagnostic per problem a recovering parse survived, so a mining
+// pipeline can report parse health instead of dropping input silently.
 type Diagnostic struct {
 	// Code is the stable machine-readable code, e.g. "DDL-SYN-001". The
 	// taxonomy is documented in DESIGN.md; codes never change meaning.

@@ -45,9 +45,9 @@ const mysqlDumpSample = "-- MySQL dump 10.13  Distrib 5.7.33\n" +
 	") ENGINE=InnoDB;\n"
 
 func TestMySQLDumpStyle(t *testing.T) {
-	script, errs := ParseLenient(mysqlDumpSample)
-	for _, err := range errs {
-		t.Errorf("diagnostic: %v", err)
+	script, diags := ParseWithDiagnostics(mysqlDumpSample, Generic)
+	for _, d := range diags {
+		t.Errorf("diagnostic: %v", d)
 	}
 	cts := script.CreateTables()
 	if len(cts) != 2 {
@@ -123,9 +123,9 @@ COPY public.accounts (id, email) FROM stdin;
 `
 
 func TestPostgresDumpStyle(t *testing.T) {
-	script, errs := ParseLenient(pgDumpSample)
-	for _, err := range errs {
-		t.Errorf("diagnostic: %v", err)
+	script, diags := ParseWithDiagnostics(pgDumpSample, Generic)
+	for _, d := range diags {
+		t.Errorf("diagnostic: %v", d)
 	}
 	cts := script.CreateTables()
 	if len(cts) != 2 {
@@ -176,9 +176,9 @@ func TestSQLiteStyleSchema(t *testing.T) {
 		"applied_at" DATETIME DEFAULT CURRENT_TIMESTAMP
 	);
 	COMMIT;`
-	script, errs := ParseLenient(src)
-	for _, err := range errs {
-		t.Errorf("diagnostic: %v", err)
+	script, diags := ParseWithDiagnostics(src, Generic)
+	for _, d := range diags {
+		t.Errorf("diagnostic: %v", d)
 	}
 	cts := script.CreateTables()
 	if len(cts) != 1 || len(cts[0].Columns) != 3 {

@@ -13,17 +13,17 @@ import (
 	"coevo/internal/sqlddl"
 )
 
-// assertScriptsMatch compares a pooled-parser result against the fresh
-// reference parse of the same source.
-func assertScriptsMatch(t *testing.T, src string, fresh, pooled *sqlddl.Script, freshErrs, pooledErrs []error) {
+// assertScriptsMatch compares a reused- or pooled-parser result against
+// the fresh reference parse of the same source: diagnostics, statement
+// accounting and every statement node must be deeply equal.
+func assertScriptsMatch(t *testing.T, src string, fresh, pooled *sqlddl.Script, freshDiags, pooledDiags []sqlddl.Diagnostic) {
 	t.Helper()
-	if len(freshErrs) != len(pooledErrs) {
-		t.Fatalf("error count diverged: fresh %d, pooled %d\nsource:\n%s", len(freshErrs), len(pooledErrs), src)
+	if !reflect.DeepEqual(freshDiags, pooledDiags) {
+		t.Fatalf("diagnostics diverged:\nfresh:  %+v\npooled: %+v\nsource:\n%s", freshDiags, pooledDiags, src)
 	}
-	for i := range freshErrs {
-		if freshErrs[i].Error() != pooledErrs[i].Error() {
-			t.Fatalf("error %d diverged:\nfresh:  %v\npooled: %v\nsource:\n%s", i, freshErrs[i], pooledErrs[i], src)
-		}
+	if fresh.Stats != pooled.Stats || fresh.Dialect != pooled.Dialect {
+		t.Fatalf("script header diverged: fresh %v %+v, pooled %v %+v\nsource:\n%s",
+			fresh.Dialect, fresh.Stats, pooled.Dialect, pooled.Stats, src)
 	}
 	if len(fresh.Statements) != len(pooled.Statements) {
 		t.Fatalf("statement count diverged: fresh %d, pooled %d\nsource:\n%s", len(fresh.Statements), len(pooled.Statements), src)
@@ -40,9 +40,9 @@ func TestReusableParserMatchesFreshParser(t *testing.T) {
 	p := sqlddl.NewParser()
 	for i := 0; i < 300; i++ {
 		src := schematest.RandomDDL(rng)
-		fresh, freshErrs := sqlddl.ParseLenient(src)
-		pooled, pooledErrs := p.ParseLenient(src)
-		assertScriptsMatch(t, src, fresh, pooled, freshErrs, pooledErrs)
+		fresh, freshDiags := sqlddl.ParseWithDiagnostics(src, sqlddl.Generic)
+		pooled, pooledDiags := p.ParseWithDiagnostics(src, sqlddl.Generic)
+		assertScriptsMatch(t, src, fresh, pooled, freshDiags, pooledDiags)
 	}
 }
 
@@ -64,9 +64,9 @@ func TestReusableParserNoStateLeak(t *testing.T) {
 	}
 	for round := 0; round < 5; round++ {
 		for _, src := range inputs {
-			fresh, freshErrs := sqlddl.ParseLenient(src)
-			pooled, pooledErrs := p.ParseLenient(src)
-			assertScriptsMatch(t, src, fresh, pooled, freshErrs, pooledErrs)
+			fresh, freshDiags := sqlddl.ParseWithDiagnostics(src, sqlddl.Generic)
+			pooled, pooledDiags := p.ParseWithDiagnostics(src, sqlddl.Generic)
+			assertScriptsMatch(t, src, fresh, pooled, freshDiags, pooledDiags)
 		}
 	}
 }
@@ -77,9 +77,9 @@ func TestPooledHelperMatchesFreshParser(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 100; i++ {
 		src := schematest.RandomDDL(rng)
-		fresh, freshErrs := sqlddl.ParseLenient(src)
-		pooled, pooledErrs, release := sqlddl.ParseLenientPooled(src)
-		assertScriptsMatch(t, src, fresh, pooled, freshErrs, pooledErrs)
+		fresh, freshDiags := sqlddl.ParseWithDiagnostics(src, sqlddl.Generic)
+		pooled, pooledDiags, release := sqlddl.ParseWithDiagnosticsPooled(src, sqlddl.Generic)
+		assertScriptsMatch(t, src, fresh, pooled, freshDiags, pooledDiags)
 		release()
 	}
 }

@@ -32,15 +32,21 @@ func ExampleParse() {
 	// alter users with 1 action(s)
 }
 
-// ExampleParseLenient shows how non-DDL statements are preserved instead
-// of failing the parse — the tolerance the mining pipeline requires.
-func ExampleParseLenient() {
-	script, diags := sqlddl.ParseLenient(`
-		SET NAMES utf8;
-		INSERT INTO t VALUES (1);
-		CREATE TABLE t2 (x INT);`)
-	fmt.Printf("%d statements, %d diagnostics, %d tables\n",
-		len(script.Statements), len(diags), len(script.CreateTables()))
+// ExampleParseWithDiagnostics shows how non-DDL statements are preserved
+// and a malformed one is demoted instead of failing the parse — the
+// tolerance the mining pipeline requires. Every problem survived comes
+// back as a coded diagnostic (DDL-LEX-*, DDL-SYN-* or DDL-SEM-*).
+func ExampleParseWithDiagnostics() {
+	script, diags := sqlddl.ParseWithDiagnostics(`SET NAMES utf8;
+INSERT INTO t VALUES (1);
+CREATE TABLE t2 (x INT);
+CREATE TABLE broken (a INT;`, sqlddl.MySQL)
+	fmt.Printf("%d statements, %d tables, %+v\n",
+		len(script.Statements), len(script.CreateTables()), script.Stats)
+	for _, d := range diags {
+		fmt.Println(d)
+	}
 	// Output:
-	// 3 statements, 0 diagnostics, 1 tables
+	// 4 statements, 1 tables, {Attempted:4 Parsed:3 Recovered:1 Dropped:0}
+	// 4:27: DDL-SYN-001 [syntax] expected ")", found EOF ""
 }

@@ -17,8 +17,9 @@ var (
 )
 
 // FuzzParseLenient asserts the mining pipeline's hard requirement: no SQL
-// input — however garbled — may panic the lenient parser or return a nil
-// script. Run with `go test -fuzz=FuzzParseLenient ./internal/sqlddl`.
+// input — however garbled — may panic the recovering parser
+// (ParseWithDiagnostics) or return a nil script. Run with
+// `go test -fuzz=FuzzParseLenient ./internal/sqlddl`.
 func FuzzParseLenient(f *testing.F) {
 	seeds := []string{
 		"",
@@ -39,28 +40,26 @@ func FuzzParseLenient(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		script, errs := ParseLenient(src)
+		script, diags := ParseWithDiagnostics(src, Generic)
 		if script == nil {
-			t.Fatal("ParseLenient returned nil script")
+			t.Fatal("ParseWithDiagnostics returned nil script")
 		}
 		// Differential: the reusable parser — the same instance across all
 		// fuzz iterations, slabs loaded with whatever earlier inputs left
 		// behind — must reproduce the fresh parse exactly.
 		fuzzParserMu.Lock()
-		pooled, pooledErrs := fuzzParser.ParseLenient(src)
+		pooled, pooledDiags := fuzzParser.ParseWithDiagnostics(src, Generic)
 		if pooled == nil {
 			fuzzParserMu.Unlock()
 			t.Fatal("reused Parser returned nil script")
 		}
-		if len(pooledErrs) != len(errs) {
+		if !reflect.DeepEqual(pooledDiags, diags) {
 			fuzzParserMu.Unlock()
-			t.Fatalf("reused Parser error count %d, fresh %d", len(pooledErrs), len(errs))
+			t.Fatalf("reused Parser diagnostics diverged:\nfresh:  %+v\npooled: %+v", diags, pooledDiags)
 		}
-		for i := range errs {
-			if errs[i].Error() != pooledErrs[i].Error() {
-				fuzzParserMu.Unlock()
-				t.Fatalf("reused Parser error %d diverged: %v vs %v", i, pooledErrs[i], errs[i])
-			}
+		if pooled.Stats != script.Stats {
+			fuzzParserMu.Unlock()
+			t.Fatalf("reused Parser stats %+v, fresh %+v", pooled.Stats, script.Stats)
 		}
 		if len(pooled.Statements) != len(script.Statements) {
 			fuzzParserMu.Unlock()
@@ -111,7 +110,7 @@ func FuzzParseLenient(f *testing.F) {
 			if raw == "" {
 				t.Fatalf("statement %d (%T) has empty raw text", i, stmt)
 			}
-			again, _ := ParseLenient(raw)
+			again, _ := ParseWithDiagnostics(raw, Generic)
 			if again == nil {
 				t.Fatalf("re-parse of statement %d returned nil script", i)
 			}

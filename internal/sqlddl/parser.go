@@ -27,18 +27,6 @@ func Parse(src string) (*Script, error) {
 	return p.Parse(src)
 }
 
-// ParseLenient parses src, demoting malformed DDL statements to
-// SkippedStatement and collecting their diagnostics. The returned script
-// uses a dedicated parser and is safe to retain indefinitely; see Parser
-// for the reusable variant.
-//
-// Deprecated: use ParseWithDiagnostics, which adds dialect selection and
-// returns structured, categorized diagnostics instead of bare errors.
-func ParseLenient(src string) (*Script, []error) {
-	var p Parser
-	return p.ParseLenient(src)
-}
-
 // ParseWithDiagnostics parses src leniently in the given dialect,
 // demoting malformed DDL statements to SkippedStatement values and
 // resynchronizing past lexical errors at the next statement boundary, so

@@ -452,9 +452,12 @@ func TestParseStrictErrors(t *testing.T) {
 }
 
 func TestParseLenientDemotesBrokenStatements(t *testing.T) {
-	script, errs := ParseLenient("CREATE TABLE broken (a int; CREATE TABLE ok (b int);")
-	if len(errs) == 0 {
+	script, diags := ParseWithDiagnostics("CREATE TABLE broken (a int; CREATE TABLE ok (b int);", Generic)
+	if len(diags) == 0 {
 		t.Fatal("expected diagnostics")
+	}
+	if script.Stats.Recovered != 1 {
+		t.Errorf("Stats = %+v, want one recovered statement", script.Stats)
 	}
 	// The broken statement is demoted; the well-formed one survives.
 	var kept int
@@ -554,11 +557,11 @@ func TestQuickCreateTableRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: ParseLenient never panics and never returns a nil script, no
-// matter how garbled the input.
+// Property: ParseWithDiagnostics never panics and never returns a nil
+// script, no matter how garbled the input.
 func TestQuickLenientNeverPanics(t *testing.T) {
 	f := func(src string) bool {
-		script, _ := ParseLenient(src)
+		script, _ := ParseWithDiagnostics(src, Generic)
 		return script != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

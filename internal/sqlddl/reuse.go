@@ -13,12 +13,13 @@ import (
 // (and those are zero-copy slices of the input buffer whenever the
 // source text needs no unescaping).
 //
-// Ownership contract: the *Script returned by Parse/ParseLenient — and
-// everything reachable from it — is valid only until the next call to
-// Parse, ParseLenient or Reset on the same Parser. Callers that retain
-// AST nodes past that point must either copy what they keep or use the
-// package-level Parse/ParseLenient functions, which dedicate a fresh
-// Parser per call and therefore return fully retainable scripts.
+// Ownership contract: the *Script returned by Parse/ParseWithDiagnostics
+// — and everything reachable from it — is valid only until the next call
+// to Parse, ParseWithDiagnostics or Reset on the same Parser. Callers
+// that retain AST nodes past that point must either copy what they keep
+// or use the package-level Parse/ParseWithDiagnostics functions, which
+// dedicate a fresh Parser per call and therefore return fully retainable
+// scripts.
 // Identifier and literal strings inside the AST alias the input buffer;
 // they remain valid for the life of the Go string passed in (strings are
 // immutable), independent of parser reuse.
@@ -78,16 +79,6 @@ func (p *Parser) Parse(src string) (*Script, error) {
 	return script, nil
 }
 
-// ParseLenient parses src leniently, like the package-level
-// ParseLenient, reusing the parser's buffers. See the type comment for
-// the ownership contract.
-//
-// Deprecated: use ParseWithDiagnostics, which adds dialect selection and
-// returns structured, categorized diagnostics instead of bare errors.
-func (p *Parser) ParseLenient(src string) (*Script, []error) {
-	return p.parse(src, Generic, false)
-}
-
 // ParseWithDiagnostics parses src leniently in the given dialect, like
 // the package-level ParseWithDiagnostics, reusing the parser's buffers.
 // See the type comment for the ownership contract.
@@ -129,16 +120,6 @@ func (p *Parser) newSkipped(raw string, line int, keyword string) *SkippedStatem
 // parserPool backs the pooled parse helpers used by per-version hot
 // paths (schema reconstruction under the result cache).
 var parserPool = sync.Pool{New: func() any { return NewParser() }}
-
-// ParseLenientPooled parses src with a pooled reusable parser and hands
-// the parser back to the pool via the returned release function. The
-// script is valid only until release is called; callers must finish
-// consuming (or copy) the AST first, then release.
-func ParseLenientPooled(src string) (script *Script, errs []error, release func()) {
-	p := parserPool.Get().(*Parser)
-	script, errs = p.parse(src, Generic, false)
-	return script, errs, func() { parserPool.Put(p) }
-}
 
 // ParseWithDiagnosticsPooled parses src in the given dialect with a
 // pooled reusable parser, returning structured diagnostics. The script

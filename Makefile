@@ -118,13 +118,10 @@ microbench:
 # a dedicated fuzzing box.
 FUZZTIME ?= 30s
 
-# FuzzParseLenient sweeps every dialect (plus Auto) per input;
-# FuzzParseValueCodec round-trips partial scripts through the versioned
-# parse-value codec.
+# FuzzParseLenient sweeps every dialect (plus Auto) per input.
 # FuzzPartialFiguresCodec hammers the sharded-study partial-figures
 # decoder: no panic on arbitrary bytes, canonical re-encoding idempotent.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParseLenient -fuzztime $(FUZZTIME) ./internal/sqlddl
-	$(GO) test -run NONE -fuzz FuzzParseValueCodec -fuzztime $(FUZZTIME) ./internal/schema
 	$(GO) test -run NONE -fuzz FuzzCompare -fuzztime $(FUZZTIME) ./internal/schemadiff
 	$(GO) test -run NONE -fuzz FuzzPartialFiguresCodec -fuzztime $(FUZZTIME) ./internal/study

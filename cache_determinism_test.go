@@ -117,6 +117,12 @@ func TestStudyCacheByteIdentical(t *testing.T) {
 			if s := cold.Stats(); s.Puts == 0 {
 				t.Fatalf("cold run stored nothing: %s", s)
 			}
+			// A study memoizes exactly two stages: the 12-project corpus
+			// stores one generate replay and one measure bundle each.
+			const entries = 24
+			if s := cold.Stats(); s.Puts != entries {
+				t.Errorf("cold run stored %d entries, want %d: %s", s.Puts, entries, s)
+			}
 
 			warm, err := coevo.NewCache(coevo.CacheOptions{Dir: dir})
 			if err != nil {
@@ -127,6 +133,9 @@ func TestStudyCacheByteIdentical(t *testing.T) {
 			}
 			if s := warm.Stats(); s.Hits == 0 || s.DiskHits == 0 {
 				t.Fatalf("warm run never hit the disk store: %s", s)
+			}
+			if s := warm.Stats(); s.Hits != entries || s.Misses != 0 {
+				t.Errorf("warm run: %d hits and %d misses, want %d and 0: %s", s.Hits, s.Misses, entries, s)
 			}
 
 			corruptEveryEntry(t, dir)

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"coevo/internal/gitlog"
 	"coevo/internal/history"
@@ -100,7 +97,8 @@ func printProjectOnly(name string, ph *history.ProjectHistory, entries []gitlog.
 	return nil
 }
 
-// loadDatedDDLVersions reads *.sql files named by ISO date from dir.
+// loadDatedDDLVersions reads *.sql files named by date
+// (history.ParseVersionNames) from dir, in commit order.
 func loadDatedDDLVersions(dir string) ([]history.DatedContent, error) {
 	glob, err := filepath.Glob(filepath.Join(dir, "*.sql"))
 	if err != nil {
@@ -109,47 +107,21 @@ func loadDatedDDLVersions(dir string) ([]history.DatedContent, error) {
 	if len(glob) == 0 {
 		return nil, fmt.Errorf("ingest: no .sql files in %s", dir)
 	}
-	type datedFile struct {
-		path string
-		when time.Time
-		seq  int
+	names := make([]string, len(glob))
+	for i, path := range glob {
+		names[i] = strings.TrimSuffix(filepath.Base(path), ".sql")
 	}
-	files := make([]datedFile, 0, len(glob))
-	for _, path := range glob {
-		stem := strings.TrimSuffix(filepath.Base(path), ".sql")
-		// Allow a .N disambiguator for multiple versions on one day; the
-		// plain file is sequence 0.
-		datePart, seq := stem, 0
-		if dot := strings.IndexByte(stem, '.'); dot > 0 {
-			datePart = stem[:dot]
-			n, err := strconv.Atoi(stem[dot+1:])
-			if err != nil {
-				return nil, fmt.Errorf("ingest: %s: disambiguator must be numeric (YYYY-MM-DD.N.sql)", path)
-			}
-			seq = n
-		}
-		when, err := time.Parse("2006-01-02", datePart)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: %s: file name must start with YYYY-MM-DD: %w", path, err)
-		}
-		files = append(files, datedFile{path: path, when: when, seq: seq})
+	order, err := history.ParseVersionNames(names)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: %s: %w", dir, err)
 	}
-	sort.Slice(files, func(i, j int) bool {
-		if !files[i].when.Equal(files[j].when) {
-			return files[i].when.Before(files[j].when)
-		}
-		return files[i].seq < files[j].seq
-	})
-	versions := make([]history.DatedContent, 0, len(files))
-	for i, f := range files {
-		content, err := os.ReadFile(f.path)
+	versions := make([]history.DatedContent, len(order))
+	for i, v := range order {
+		content, err := os.ReadFile(filepath.Join(dir, v.Name+".sql"))
 		if err != nil {
 			return nil, err
 		}
-		versions = append(versions, history.DatedContent{
-			When:    f.when.Add(time.Duration(i) * time.Minute),
-			Content: content,
-		})
+		versions[i] = history.DatedContent{When: v.When, Content: content}
 	}
 	return versions, nil
 }

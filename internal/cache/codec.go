@@ -168,19 +168,6 @@ func (d *Dec) Bool() bool {
 
 // Blob reads a length-prefixed byte slice (copied out of the buffer).
 func (d *Dec) Blob() []byte {
-	p := d.BlobRef()
-	if p == nil {
-		return nil
-	}
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out
-}
-
-// BlobRef reads a length-prefixed byte slice without copying: the result
-// aliases the buffer passed to NewDec and is valid for its lifetime. Use
-// it when the blob is decoded further and discarded.
-func (d *Dec) BlobRef() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
 		return nil
@@ -189,9 +176,10 @@ func (d *Dec) BlobRef() []byte {
 		d.fail("blob length")
 		return nil
 	}
-	p := d.buf[:n:n]
+	out := make([]byte, n)
+	copy(out, d.buf)
 	d.buf = d.buf[n:]
-	return p
+	return out
 }
 
 // String reads a length-prefixed string.

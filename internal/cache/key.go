@@ -16,11 +16,10 @@ type Key [sha256.Size]byte
 // String renders the key as lower-case hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// NewKey addresses one input blob under a stage version — the common
-// single-input case (e.g. the raw bytes of one DDL file version under
-// "schema/parse/v1"). Bump the stage version string whenever the stage's
-// implementation changes observable output; that is the cache's only
-// invalidation rule.
+// NewKey addresses one input blob under a stage version (e.g.
+// "study/measure/v3"): shorthand for NewHasher(stage).Bytes(input).Sum().
+// Bump the stage version string whenever the stage's implementation
+// changes observable output; that is the cache's only invalidation rule.
 func NewKey(stage string, input []byte) Key {
 	return NewHasher(stage).Bytes(input).Sum()
 }

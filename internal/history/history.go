@@ -10,10 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
-	"coevo/internal/cache"
 	"coevo/internal/gitlog"
 	"coevo/internal/heartbeat"
 	"coevo/internal/schema"
@@ -39,12 +39,6 @@ type Options struct {
 	// Disabling it reproduces the raw pairwise heartbeat of the upstream
 	// data set, where only version-to-version change counts.
 	CountBirth bool
-
-	// Cache, when non-nil, memoizes the two hot extraction stages through
-	// the content-addressed result cache: parsing a DDL version (keyed by
-	// its raw bytes) and diffing a version pair (keyed by the two logical
-	// schemas). Results are byte-identical with and without a cache.
-	Cache *cache.Cache
 
 	// Dialect selects the SQL dialect adapter used to parse every version.
 	// The zero value (Generic) reproduces the historical pipeline exactly;
@@ -179,7 +173,7 @@ func ExtractSchemaHistoryFromVersions(path string, fileVersions []vcs.FileVersio
 				h.NoOpCommits++
 			}
 			prevRaw, havePrev = fv.Content, true
-			s, rep := schema.ParseAndBuildCachedDialect(fv.Content, opts.Dialect, opts.Cache)
+			s, rep := schema.ParseAndBuildDialect(string(fv.Content), opts.Dialect)
 			sv.Schema = s
 			sv.Report = rep
 			if s.TableCount() > 0 {
@@ -192,7 +186,7 @@ func ExtractSchemaHistoryFromVersions(path string, fileVersions []vcs.FileVersio
 	if !anyCreate {
 		return nil, fmt.Errorf("%w: %s", ErrNoCreates, path)
 	}
-	h.Deltas = schemadiff.SequenceCached(schemas, opts.Cache)
+	h.Deltas = schemadiff.Sequence(schemas)
 	return h, nil
 }
 
@@ -368,6 +362,64 @@ func ProjectHistoryFromLog(entries []gitlog.Entry) (*ProjectHistory, error) {
 type DatedContent struct {
 	When    time.Time
 	Content []byte
+}
+
+// VersionName is one named DDL version in commit order: the name as
+// given and the commit time ingestion assigns it.
+type VersionName struct {
+	Name string
+	When time.Time
+}
+
+// ParseVersionNames parses the names of a project's exported DDL
+// versions and returns them in commit order. A name is the version's
+// date, "YYYY-MM-DD", optionally followed by ".N" — one or more ASCII
+// digits — to order several versions of one day; the plain date is
+// sequence 0. Versions sort by date, then sequence, and each is
+// committed at its day plus one minute per version before it, so commit
+// times strictly increase. Two names with the same date and sequence
+// ("2016-01-10" and "2016-01-10.0", or ".1" and ".01") are an error,
+// since nothing would order them. The result and any error are
+// independent of the order of names.
+func ParseVersionNames(names []string) ([]VersionName, error) {
+	type parsed struct {
+		name string
+		day  time.Time
+		seq  int
+	}
+	sorted := append([]string(nil), names...)
+	sort.Strings(sorted)
+	ps := make([]parsed, len(sorted))
+	for i, name := range sorted {
+		date, suffix, hasSeq := strings.Cut(name, ".")
+		seq := 0
+		if hasSeq {
+			n, err := strconv.Atoi(suffix)
+			if err != nil || strings.Trim(suffix, "0123456789") != "" {
+				return nil, fmt.Errorf("history: DDL version %q: sequence must be one or more digits (YYYY-MM-DD.N)", name)
+			}
+			seq = n
+		}
+		day, err := time.Parse("2006-01-02", date)
+		if err != nil {
+			return nil, fmt.Errorf("history: DDL version %q: name must be YYYY-MM-DD or YYYY-MM-DD.N: %w", name, err)
+		}
+		ps[i] = parsed{name: name, day: day, seq: seq}
+	}
+	sort.SliceStable(ps, func(i, j int) bool {
+		if !ps[i].day.Equal(ps[j].day) {
+			return ps[i].day.Before(ps[j].day)
+		}
+		return ps[i].seq < ps[j].seq
+	})
+	out := make([]VersionName, len(ps))
+	for i, p := range ps {
+		if i > 0 && p.day.Equal(ps[i-1].day) && p.seq == ps[i-1].seq {
+			return nil, fmt.Errorf("history: DDL versions %q and %q have the same date and sequence", ps[i-1].name, p.name)
+		}
+		out[i] = VersionName{Name: p.name, When: p.day.Add(time.Duration(i) * time.Minute)}
+	}
+	return out, nil
 }
 
 // SchemaHistoryFromContents builds a schema history from externally

@@ -2,6 +2,7 @@ package history
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -419,6 +420,63 @@ func TestSchemaHistoryFromContents(t *testing.T) {
 	}
 	if _, err := SchemaHistoryFromContents("x.sql", nil, DefaultOptions()); err == nil {
 		t.Error("empty content list should fail")
+	}
+}
+
+// TestParseVersionNames: one parser orders the "YYYY-MM-DD[.N]" names of
+// ingested DDL versions. The sequence is ASCII digits only, two names
+// for one date and sequence are an error naming both, and neither the
+// order nor the error depends on the order of the input.
+func TestParseVersionNames(t *testing.T) {
+	at := func(month, day, minute int) time.Time {
+		return time.Date(2016, time.Month(month), day, 0, minute, 0, 0, time.UTC)
+	}
+	cases := []struct {
+		names []string
+		want  []VersionName // commit order; nil when err is set
+		err   string        // substring of the expected error
+	}{
+		{names: []string{"2016-01-10"}, want: []VersionName{{"2016-01-10", at(1, 10, 0)}}},
+		{names: []string{"2016-01-10.3"}, want: []VersionName{{"2016-01-10.3", at(1, 10, 0)}}},
+		// Same-day versions order by sequence; every version is a minute
+		// after the one before it.
+		{names: []string{"2016-01-10.1", "2016-01-10", "2016-02-01"}, want: []VersionName{
+			{"2016-01-10", at(1, 10, 0)}, {"2016-01-10.1", at(1, 10, 1)}, {"2016-02-01", at(2, 1, 2)},
+		}},
+		// Sequences compare as numbers, not as text.
+		{names: []string{"2016-01-10.10", "2016-01-10.9", "2016-01-10.0"}, want: []VersionName{
+			{"2016-01-10.0", at(1, 10, 0)}, {"2016-01-10.9", at(1, 10, 1)}, {"2016-01-10.10", at(1, 10, 2)},
+		}},
+		{names: []string{"not-a-date"}, err: `"not-a-date"`},
+		{names: []string{""}, err: `""`},
+		{names: []string{"2016-13-40"}, err: `"2016-13-40"`},
+		{names: []string{"2016-01-10.x"}, err: `"2016-01-10.x"`},
+		{names: []string{"2016-01-10."}, err: `"2016-01-10."`},
+		{names: []string{"2016-01-10.1abc"}, err: `"2016-01-10.1abc"`},
+		{names: []string{"2016-01-10.-1"}, err: `"2016-01-10.-1"`},
+		{names: []string{"2016-01-10.+1"}, err: `"2016-01-10.+1"`},
+		{names: []string{"2016-01-10. 1"}, err: `"2016-01-10. 1"`},
+		{names: []string{"2016-01-10.1.2"}, err: `"2016-01-10.1.2"`},
+		{names: []string{"2016-01-10.99999999999999999999"}, err: `"2016-01-10.99999999999999999999"`},
+		// Names that resolve to one date and sequence have no order.
+		{names: []string{"2016-01-10", "2016-01-10.0"}, err: `"2016-01-10" and "2016-01-10.0"`},
+		{names: []string{"2016-01-10.1", "2016-01-10.01"}, err: `"2016-01-10.01" and "2016-01-10.1"`},
+		{names: []string{"2016-01-10.01", "2016-01-10.1", "2016-01-10.0", "2016-01-10"}, err: `"2016-01-10" and "2016-01-10.0"`},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range cases {
+		names := append([]string(nil), c.names...)
+		for round := 0; round < 20; round++ {
+			got, err := ParseVersionNames(names)
+			if c.err != "" {
+				if err == nil || !strings.Contains(err.Error(), c.err) {
+					t.Errorf("ParseVersionNames(%q) = %v, %v; want an error naming %s", names, got, err, c.err)
+				}
+			} else if err != nil || !reflect.DeepEqual(got, c.want) {
+				t.Errorf("ParseVersionNames(%q) = %v, %v; want %v", names, got, err, c.want)
+			}
+			rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+		}
 	}
 }
 

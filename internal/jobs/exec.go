@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -28,12 +27,12 @@ import (
 )
 
 // Executor turns specs into results. One Executor serves every job the
-// queue runs; its cache is the cross-job dedup plane — both the inner
-// pipeline stages (parse, diff, measure, corpus generation) and the
-// whole rendered result are content-addressed in it, so a duplicate
-// submission from any tenant is a lookup, not an analysis.
+// queue runs; its cache is the cross-job dedup plane — the study's two
+// memoized stages (corpus generation and per-project measure bundles)
+// and the whole rendered result are content-addressed in it, so a
+// duplicate submission from any tenant is a lookup, not an analysis.
 type Executor struct {
-	// Cache, when non-nil, memoizes pipeline stages and whole results.
+	// Cache, when non-nil, memoizes the study's stages and whole results.
 	Cache *cache.Cache
 	// Obs observes execution (nil-safe).
 	Obs *obs.Observer
@@ -228,7 +227,7 @@ func (e *Executor) runIngest(ctx context.Context, j *Job, rep RunReport) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	versions, err := datedVersions(spec.DDLVersions)
+	versions, err := ingestVersions(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -281,54 +280,17 @@ func renderSections(a *report.StudyArtifacts) (map[string]string, error) {
 	return sections, nil
 }
 
-// parseVersionName parses a DDL version key — "YYYY-MM-DD" or
-// "YYYY-MM-DD.N" for multiple versions on one day — into its date and
-// sequence number. Validate and the executor share it so a spec that
-// validates always executes.
-func parseVersionName(name string) (time.Time, int, error) {
-	datePart, seq := name, 0
-	if dot := strings.IndexByte(name, '.'); dot > 0 {
-		datePart = name[:dot]
-		if _, err := fmt.Sscanf(name[dot+1:], "%d", &seq); err != nil || seq < 0 {
-			return time.Time{}, 0, fmt.Errorf("jobs: ddl version %q: disambiguator must be a non-negative number (YYYY-MM-DD.N)", name)
-		}
-	}
-	when, err := time.Parse("2006-01-02", datePart)
+// ingestVersions puts the submitted DDL versions in commit order
+// (history.ParseVersionNames), exactly as the CLI's ingest reads a
+// directory of dated files.
+func ingestVersions(spec *IngestSpec) ([]history.DatedContent, error) {
+	order, err := history.ParseVersionNames(spec.versionNames())
 	if err != nil {
-		return time.Time{}, 0, fmt.Errorf("jobs: ddl version %q: name must start with YYYY-MM-DD: %w", name, err)
+		return nil, err
 	}
-	return when, seq, nil
-}
-
-// datedVersions orders the submitted DDL versions by (date, sequence)
-// and spaces same-day versions a minute apart — exactly how the CLI's
-// ingest reads a directory of dated files.
-func datedVersions(byName map[string]string) ([]history.DatedContent, error) {
-	type dated struct {
-		name string
-		when time.Time
-		seq  int
-	}
-	files := make([]dated, 0, len(byName))
-	for name := range byName {
-		when, seq, err := parseVersionName(name)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, dated{name: name, when: when, seq: seq})
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if !files[i].when.Equal(files[j].when) {
-			return files[i].when.Before(files[j].when)
-		}
-		return files[i].seq < files[j].seq
-	})
-	versions := make([]history.DatedContent, 0, len(files))
-	for i, f := range files {
-		versions = append(versions, history.DatedContent{
-			When:    f.when.Add(time.Duration(i) * time.Minute),
-			Content: []byte(byName[f.name]),
-		})
+	versions := make([]history.DatedContent, len(order))
+	for i, v := range order {
+		versions[i] = history.DatedContent{When: v.When, Content: []byte(spec.DDLVersions[v.Name])}
 	}
 	return versions, nil
 }

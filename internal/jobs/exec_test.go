@@ -210,9 +210,9 @@ func TestExecutorIngestMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ProjectHistoryFromLog: %v", err)
 	}
-	versions, err := datedVersions(execDDLVersions)
+	versions, err := ingestVersions(spec.Ingest)
 	if err != nil {
-		t.Fatalf("datedVersions: %v", err)
+		t.Fatalf("ingestVersions: %v", err)
 	}
 	opts := study.DefaultOptions()
 	sh, err := history.SchemaHistoryFromContents("schema.sql", versions, opts.History)
@@ -267,18 +267,31 @@ func TestExecutorSealsManifest(t *testing.T) {
 	}
 }
 
+// TestParseVersionName: a DDL version name is "YYYY-MM-DD" or
+// "YYYY-MM-DD.N". Validate and the executor read names through the same
+// parser, so a name Validate accepts always ingests at its date, and a
+// name it rejects is rejected by the executor too.
 func TestParseVersionName(t *testing.T) {
-	when, seq, err := parseVersionName("2016-01-10")
-	if err != nil || seq != 0 || !when.Equal(time.Date(2016, 1, 10, 0, 0, 0, 0, time.UTC)) {
-		t.Errorf("plain date: %v %d %v", when, seq, err)
-	}
-	when, seq, err = parseVersionName("2016-01-10.3")
-	if err != nil || seq != 3 || !when.Equal(time.Date(2016, 1, 10, 0, 0, 0, 0, time.UTC)) {
-		t.Errorf("dated+seq: %v %d %v", when, seq, err)
+	day := time.Date(2016, 1, 10, 0, 0, 0, 0, time.UTC)
+	for _, good := range []string{"2016-01-10", "2016-01-10.3"} {
+		ing := &IngestSpec{GitLog: "x", DDLVersions: map[string]string{good: "a"}}
+		spec := Spec{Kind: KindIngest, Ingest: ing}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("Validate(%q): %v", good, err)
+		}
+		vs, err := ingestVersions(ing)
+		if err != nil || len(vs) != 1 || !vs[0].When.Equal(day) {
+			t.Errorf("ingestVersions(%q) = %v, %v; want one version at %v", good, vs, err, day)
+		}
 	}
 	for _, bad := range []string{"not-a-date", "2016-13-40", "2016-01-10.x", "2016-01-10.-1", ""} {
-		if _, _, err := parseVersionName(bad); err == nil {
-			t.Errorf("parseVersionName(%q) accepted", bad)
+		ing := &IngestSpec{GitLog: "x", DDLVersions: map[string]string{bad: "a"}}
+		spec := Spec{Kind: KindIngest, Ingest: ing}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("Validate accepted version name %q", bad)
+		}
+		if _, err := ingestVersions(ing); err == nil {
+			t.Errorf("ingestVersions accepted version name %q", bad)
 		}
 	}
 }
@@ -286,13 +299,13 @@ func TestParseVersionName(t *testing.T) {
 // TestDatedVersions orders same-day versions by sequence and spaces all
 // versions a minute apart so history timestamps stay strictly increasing.
 func TestDatedVersions(t *testing.T) {
-	vs, err := datedVersions(map[string]string{
+	vs, err := ingestVersions(&IngestSpec{DDLVersions: map[string]string{
 		"2016-01-10.1": "b",
 		"2016-01-10":   "a",
 		"2016-02-01":   "c",
-	})
+	}})
 	if err != nil {
-		t.Fatalf("datedVersions: %v", err)
+		t.Fatalf("ingestVersions: %v", err)
 	}
 	if len(vs) != 3 {
 		t.Fatalf("len = %d", len(vs))

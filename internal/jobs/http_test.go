@@ -135,6 +135,8 @@ func TestHTTPMalformedSpec(t *testing.T) {
 		`{"kind":"mystery","study":{"seed":1}}`,
 		`{"kind":"study","study":{"seed":1},"unknown_field":true}`,
 		`{"kind":"ingest","ingest":{"git_log":"x","ddl_versions":{"bad-date":""}}}`,
+		`{"kind":"ingest","ingest":{"git_log":"x","ddl_versions":{"2016-01-10.1abc":""}}}`,
+		`{"kind":"ingest","ingest":{"git_log":"x","ddl_versions":{"2016-01-10":"","2016-01-10.0":""}}}`,
 	} {
 		resp := postSpec(t, srv, "t", body)
 		resp.Body.Close()

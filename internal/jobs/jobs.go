@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"coevo/internal/cache"
+	"coevo/internal/history"
 	"coevo/internal/sqlddl"
 	"coevo/internal/study"
 )
@@ -122,6 +123,15 @@ type IngestSpec struct {
 	Dialect string `json:"dialect,omitempty"`
 }
 
+// versionNames lists the DDL version names in map order.
+func (s *IngestSpec) versionNames() []string {
+	names := make([]string, 0, len(s.DDLVersions))
+	for name := range s.DDLVersions {
+		names = append(names, name)
+	}
+	return names
+}
+
 // Validate checks the spec is well-formed; the HTTP API maps a failure
 // to 400.
 func (s *Spec) Validate() error {
@@ -155,10 +165,8 @@ func (s *Spec) Validate() error {
 		if len(s.Ingest.DDLVersions) == 0 {
 			return fmt.Errorf("jobs: ingest spec needs at least one dated DDL version")
 		}
-		for name := range s.Ingest.DDLVersions {
-			if _, _, err := parseVersionName(name); err != nil {
-				return err
-			}
+		if _, err := history.ParseVersionNames(s.Ingest.versionNames()); err != nil {
+			return fmt.Errorf("jobs: ingest spec: %w", err)
 		}
 		if _, err := sqlddl.ParseDialect(s.Ingest.Dialect); err != nil {
 			return fmt.Errorf("jobs: ingest spec: %w", err)
@@ -201,10 +209,7 @@ func (s *Spec) Fingerprint() cache.Key {
 	case KindIngest:
 		h.String(specDialect(s.Ingest.Dialect).String())
 		h.String(s.Ingest.GitLog)
-		names := make([]string, 0, len(s.Ingest.DDLVersions))
-		for name := range s.Ingest.DDLVersions {
-			names = append(names, name)
-		}
+		names := s.Ingest.versionNames()
 		sort.Strings(names)
 		h.Int(int64(len(names)))
 		for _, name := range names {

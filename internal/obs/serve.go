@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -64,6 +65,8 @@ type Server struct {
 	ready    atomic.Bool
 	draining atomic.Bool
 	done     chan struct{}
+	// unused holds the connections that have not sent a byte yet.
+	unused sync.Map
 }
 
 // Serve binds opts.Addr and starts serving in a background goroutine.
@@ -165,6 +168,23 @@ func newServer(opts ServeOptions) *Server {
 		func() float64 { return float64(s.hub.clientCount()) })
 
 	s.srv = &http.Server{Handler: s.instrument(opts, mux), ReadHeaderTimeout: 5 * time.Second}
+	// Clients dial connections ahead of need and may never send on them,
+	// and net/http's Shutdown waits on such a connection for five seconds
+	// as on an active one. Close them once shutdown has closed the
+	// listener.
+	s.srv.ConnState = func(c net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			s.unused.Store(c, nil)
+		} else {
+			s.unused.Delete(c)
+		}
+	}
+	s.srv.RegisterOnShutdown(func() {
+		s.unused.Range(func(c, _ any) bool {
+			c.(net.Conn).Close() //nolint:errcheck // best-effort close
+			return true
+		})
+	})
 	return s
 }
 

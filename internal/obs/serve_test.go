@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -287,6 +288,30 @@ func TestHubConcurrent(t *testing.T) {
 	hub.close() // idempotent
 	if _, _, ok := hub.subscribe(); ok {
 		t.Error("subscribe after close should fail")
+	}
+}
+
+// TestShutdownClosesUnusedConnections: clients dial connections ahead
+// of need (net/http's transport keeps one when a pooled connection frees
+// first) and may never send on them. net/http's Shutdown waits on such a
+// connection for five seconds, which made a finished run fail its
+// five-second shutdown; the server must close it instead.
+func TestShutdownClosesUnusedConnections(t *testing.T) {
+	s := startTestServer(t, ServeOptions{Registry: NewRegistry()})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The server accepts in order, so once a later request is answered
+	// the unused connection is open on its side.
+	if code, _ := get(t, s.URL()+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz = %d", code)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with an unused connection open: %v", err)
 	}
 }
 

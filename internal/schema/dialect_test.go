@@ -1,10 +1,8 @@
 package schema
 
 import (
-	"reflect"
 	"testing"
 
-	"coevo/internal/cache"
 	"coevo/internal/sqlddl"
 )
 
@@ -91,66 +89,4 @@ func TestParseAndBuildDialectAuto(t *testing.T) {
 	if s.TableCount() != 1 {
 		t.Errorf("tables = %d", s.TableCount())
 	}
-}
-
-func TestParseValueCodecRoundTrip(t *testing.T) {
-	src := "CREATE TABLE [a] ([x] NVARCHAR(5))\nGO\nCREATE TABLE broken ([y] NVARCHAR(MAX,\nGO\n"
-	s, rep := ParseAndBuildDialect(src, sqlddl.MSSQL)
-	got, gotRep, err := decodeParseValue(encodeParseValue(s, rep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotRep, rep) {
-		t.Errorf("report round trip:\n got %+v\nwant %+v", gotRep, rep)
-	}
-	if !reflect.DeepEqual(EncodeBinary(got), EncodeBinary(s)) {
-		t.Error("schema round trip diverged")
-	}
-	if got.dialect != sqlddl.MSSQL {
-		t.Errorf("decoded dialect = %s", got.dialect)
-	}
-}
-
-func TestParseAndBuildCachedDialect(t *testing.T) {
-	c := cache.NewMemory()
-	src := []byte("CREATE TABLE t ([n] NVARCHAR(7))\nGO\nDROP TABLE gone\nGO\n")
-	cold, coldRep := ParseAndBuildCachedDialect(src, sqlddl.MSSQL, c)
-	warm, warmRep := ParseAndBuildCachedDialect(src, sqlddl.MSSQL, c)
-	if !reflect.DeepEqual(EncodeBinary(cold), EncodeBinary(warm)) {
-		t.Error("warm schema diverged from cold")
-	}
-	if !reflect.DeepEqual(coldRep, warmRep) {
-		t.Errorf("warm report diverged:\ncold %+v\nwarm %+v", coldRep, warmRep)
-	}
-	// The requested dialect is part of the key: the same bytes under
-	// Generic must not hit the MSSQL entry (GO would not split there).
-	gen, _ := ParseAndBuildCachedDialect(src, sqlddl.Generic, c)
-	if reflect.DeepEqual(EncodeBinary(gen), EncodeBinary(cold)) {
-		t.Error("generic lookup hit the mssql cache entry")
-	}
-}
-
-// FuzzParseValueCodec asserts the satellite requirement that partial
-// scripts — whatever the recovering parser salvages from arbitrary input
-// under every dialect — round-trip the parse-value codec exactly.
-func FuzzParseValueCodec(f *testing.F) {
-	f.Add("CREATE TABLE t (a INT);", uint8(0))
-	f.Add("CREATE TABLE [b] ([x] NVARCHAR(MAX,\nGO\n", uint8(4))
-	f.Add("'unterminated\nCREATE TABLE t (a INT);", uint8(1))
-	f.Add("$tag$ body $tag$; ALTER TABLE nope ADD c INT;", uint8(2))
-	f.Fuzz(func(t *testing.T, src string, dialectByte uint8) {
-		ds := append(sqlddl.Dialects(), sqlddl.Auto)
-		d := ds[int(dialectByte)%len(ds)]
-		s, rep := ParseAndBuildDialect(src, d)
-		got, gotRep, err := decodeParseValue(encodeParseValue(s, rep))
-		if err != nil {
-			t.Fatalf("decode(%s): %v", d, err)
-		}
-		if !reflect.DeepEqual(gotRep, rep) {
-			t.Fatalf("report round trip (%s):\n got %+v\nwant %+v", d, gotRep, rep)
-		}
-		if !reflect.DeepEqual(EncodeBinary(got), EncodeBinary(s)) {
-			t.Fatalf("schema round trip diverged (%s)", d)
-		}
-	})
 }

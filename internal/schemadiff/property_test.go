@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"coevo/internal/cache"
-	"coevo/internal/schema"
 	"coevo/internal/schemadiff"
 	"coevo/internal/schematest"
 )
@@ -79,61 +77,6 @@ func TestBornDeletedSymmetry(t *testing.T) {
 		// Type and key changes are direction-independent sets.
 		if fwd.AttrsTypeChanged != rev.AttrsTypeChanged || fwd.AttrsPKChanged != rev.AttrsPKChanged {
 			t.Fatalf("type/key changes not symmetric: fwd %s / rev %s", fwd, rev)
-		}
-	}
-}
-
-// TestCompareCachedMatchesCompare: the cached comparison returns deltas
-// indistinguishable from the plain one, with either a hit or a miss.
-func TestCompareCachedMatchesCompare(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	c := cache.NewMemory()
-	for i := 0; i < 200; i++ {
-		a, b := schematest.RandomSchema(rng), schematest.RandomSchema(rng)
-		aEnc, bEnc := schema.EncodeBinary(a), schema.EncodeBinary(b)
-		want := schemadiff.Compare(a, b)
-		for round := 0; round < 2; round++ { // miss, then hit
-			got := schemadiff.CompareCached(a, b, aEnc, bEnc, c)
-			if got.String() != want.String() || got.TotalActivity() != want.TotalActivity() {
-				t.Fatalf("round %d: cached delta %s != %s", round, got, want)
-			}
-			if len(got.Changes) != len(want.Changes) {
-				t.Fatalf("round %d: %d changes != %d", round, len(got.Changes), len(want.Changes))
-			}
-			for j := range got.Changes {
-				if got.Changes[j] != want.Changes[j] {
-					t.Fatalf("round %d: change %d: %v != %v", round, j, got.Changes[j], want.Changes[j])
-				}
-			}
-		}
-	}
-	if s := c.Stats(); s.Hits == 0 || s.Misses == 0 {
-		t.Errorf("expected both hits and misses, got %s", s)
-	}
-}
-
-// TestSequenceCachedMatchesSequence: the cached pairwise walk equals the
-// plain one, including nil (unparseable/deleted) versions.
-func TestSequenceCachedMatchesSequence(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	c := cache.NewMemory()
-	for i := 0; i < 50; i++ {
-		versions := make([]*schema.Schema, 2+rng.Intn(6))
-		for j := range versions {
-			if rng.Intn(8) == 0 {
-				continue // nil version
-			}
-			versions[j] = schematest.RandomSchema(rng)
-		}
-		want := schemadiff.Sequence(versions)
-		got := schemadiff.SequenceCached(versions, c)
-		if len(got) != len(want) {
-			t.Fatalf("length %d != %d", len(got), len(want))
-		}
-		for j := range got {
-			if got[j].String() != want[j].String() {
-				t.Fatalf("delta %d: %s != %s", j, got[j], want[j])
-			}
 		}
 	}
 }

@@ -73,7 +73,9 @@ func (r *Result) WriteCSV(w io.Writer) error {
 //
 // A failed shard fails the run: partial figures from a subset of shards
 // would silently change the study's population, which is exactly the
-// kind of quiet skew the merge laws exist to prevent.
+// kind of quiet skew the merge laws exist to prevent. The first failure
+// cancels the sibling shards, and Run returns that failure, not a
+// sibling's cancellation.
 func Run(ctx context.Context, addrs []string, req RunRequest) (*Result, error) {
 	n := len(addrs)
 	if n == 0 {
@@ -92,24 +94,35 @@ func Run(ctx context.Context, addrs []string, req RunRequest) (*Result, error) {
 
 	// No client timeout: a shard runs as long as its partition takes;
 	// cancellation comes from ctx through the per-request context.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	client := &http.Client{}
 	responses := make([]*RunResponse, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		fail     sync.Once
+		firstErr error
+	)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			sreq := req
 			sreq.Shard = i
-			responses[i], errs[i] = post(ctx, client, addrs[i], &sreq, tc.Child())
+			resp, err := post(ctx, client, addrs[i], &sreq, tc.Child())
+			if err != nil {
+				fail.Do(func() {
+					firstErr = fmt.Errorf("shard %d (%s): %w", i, addrs[i], err)
+					cancel()
+				})
+				return
+			}
+			responses[i] = resp
 		}(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d (%s): %w", i, addrs[i], err)
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	res, err := Merge(responses)

@@ -11,8 +11,8 @@
 // context propagated on the request so every shard's spans, access-log
 // lines and run manifest join the coordinating run's trace, and an
 // optional remote cache tier (served by the coordinator, see
-// cache.TierHandler) that dedups parse/diff/measure work across every
-// worker process.
+// cache.TierHandler) that dedups generation and measure work across
+// every worker process.
 package shard
 
 import (

@@ -3,10 +3,12 @@ package shard
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"coevo/internal/obs"
 	"coevo/internal/study"
@@ -126,17 +128,31 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 }
 
 // TestRunFailsWhenAShardFails: a failed shard fails the whole run —
-// a silently narrowed population is worse than no answer.
+// a silently narrowed population is worse than no answer — and cancels
+// its siblings, so Run reports the failed shard at once instead of
+// waiting on a worker that runs on.
 func TestRunFailsWhenAShardFails(t *testing.T) {
-	good := newWorkerServer(t)
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The server notices that the client left only once the body
+		// has been read.
+		io.Copy(io.Discard, r.Body) //nolint:errcheck // drain only
+		<-r.Context().Done()
+	}))
+	defer hung.Close()
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "worker exploded", http.StatusInternalServerError)
 	}))
 	defer bad.Close()
 
-	_, err := Run(context.Background(), []string{good.URL, bad.URL}, RunRequest{Seed: 3, PerTaxon: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := Run(ctx, []string{hung.URL, bad.URL}, RunRequest{Seed: 3, PerTaxon: 1})
 	if err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("err = %v, want shard 1 failure", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("Run returned after %s; the failed shard did not cancel its sibling", d)
 	}
 }
 

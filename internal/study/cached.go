@@ -1,12 +1,11 @@
-// Measure-bundle caching: the third memoized stage of the pipeline. One
+// Measure-bundle caching: the analysis's one memoized stage. One
 // project's entire analysis result (heartbeats, joint progress, measure
-// suite, taxon, locality) is addressed by the content of its two input
-// histories — every DDL version's bytes and commit time, every project
-// commit's time and churn — plus the analysis configuration. A warm run
-// therefore skips parsing, diffing and measuring entirely; the layered
-// parse and diff caches below it still serve partially-invalidated
-// histories (the append-mostly case: one new version re-parses one file
-// and re-diffs one pair, everything else hits).
+// suite, taxon, locality, parse health) is addressed by the content of
+// its two input histories — every DDL version's bytes and commit time,
+// every project commit's time and churn — plus the analysis
+// configuration. A warm run therefore skips parsing, diffing and
+// measuring entirely; a miss re-parses and re-diffs every version, as a
+// cold run does.
 package study
 
 import (
@@ -25,16 +24,6 @@ import (
 // v3: the bundle carries the project's parse health and the key folds the
 // configured parse dialect.
 const MeasureStage = "study/measure/v3"
-
-// effectiveCache resolves the cache the pipeline should use: the study
-// option, falling back to the history option so callers configuring only
-// extraction caching still get it.
-func (o Options) effectiveCache() *cache.Cache {
-	if o.Cache != nil {
-		return o.Cache
-	}
-	return o.History.Cache
-}
 
 // measureConfig folds the configuration that analyze() observes into the
 // key: the birth-counting convention and every taxon threshold.

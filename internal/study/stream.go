@@ -138,7 +138,7 @@ func RunStream(ctx context.Context, seed int64, opts Options, sink Sink) (*Strea
 	defer span.End()
 	opts.Obs.Logger().Info("study: run starting", "seed", seed)
 	cfg := corpus.DefaultConfig(seed)
-	cfg.Cache = opts.effectiveCache()
+	cfg.Cache = opts.Cache
 	cfg.Obs = opts.Obs
 	return StreamCorpus(ctx, corpus.NewSource(cfg), sink, opts)
 }

@@ -70,10 +70,11 @@ type Options struct {
 	// reporting and metrics.
 	Exec engine.Options
 
-	// Cache, when non-nil, memoizes the pipeline's hot stages through the
-	// content-addressed result cache: per-version DDL parsing, per-pair
-	// schema diffing, and the whole per-project measure bundle. Output is
-	// byte-identical with a cold, warm or absent cache; see internal/cache.
+	// Cache, when non-nil, memoizes two stages through the
+	// content-addressed result cache: corpus generation (RunStream hands
+	// it to the generator) and the whole per-project measure bundle. It
+	// is the analysis's only cache setting. Output is byte-identical with
+	// a cold, warm or absent cache; see internal/cache.
 	Cache *cache.Cache
 
 	// Obs, when non-nil, observes the run: orchestration spans (run →
@@ -113,7 +114,7 @@ func AnalyzeRepositoryContext(ctx context.Context, repo *vcs.Repository, ddlPath
 // analyzeRepository is the repository entry point of the cached pipeline:
 // it lists the DDL file versions and project history once, addresses the
 // measure bundle by their content, and only on a miss extracts the schema
-// history (itself served by the parse and diff caches) and measures it.
+// history (parsing and diffing every version) and measures it.
 func analyzeRepository(ctx context.Context, name, ddlPath string, repo *vcs.Repository, opts Options) (*ProjectResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -126,7 +127,7 @@ func analyzeRepository(ctx context.Context, name, ddlPath string, repo *vcs.Repo
 	if err != nil {
 		return nil, fmt.Errorf("study: %s: %w", name, err)
 	}
-	c := opts.effectiveCache()
+	c := opts.Cache
 	var key cache.Key
 	if c != nil {
 		engine.Stage(ctx, "cache")
@@ -137,11 +138,7 @@ func analyzeRepository(ctx context.Context, name, ddlPath string, repo *vcs.Repo
 		}
 	}
 	engine.Stage(ctx, "extract")
-	hopts := opts.History
-	if hopts.Cache == nil {
-		hopts.Cache = c
-	}
-	sh, err := history.ExtractSchemaHistoryFromVersions(ddlPath, fvs, hopts)
+	sh, err := history.ExtractSchemaHistoryFromVersions(ddlPath, fvs, opts.History)
 	if err != nil {
 		return nil, fmt.Errorf("study: %s: %w", name, err)
 	}
@@ -165,7 +162,7 @@ func analyzeRepository(ctx context.Context, name, ddlPath string, repo *vcs.Repo
 // schema history must have been extracted with opts.History for the
 // fingerprint to be truthful.
 func AnalyzeHistories(name, ddlPath string, sh *history.SchemaHistory, ph *history.ProjectHistory, opts Options) (*ProjectResult, error) {
-	c := opts.effectiveCache()
+	c := opts.Cache
 	if c == nil {
 		return analyze(context.Background(), name, ddlPath, sh, ph, opts)
 	}

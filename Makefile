@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench microbench race vet fuzz-smoke smoke stream-smoke jobs-smoke trace-smoke shard-smoke parse-health-smoke perf-gate perf-gate-self-test
+.PHONY: build test verify bench microbench race vet fuzz-smoke perf-gate perf-gate-self-test
 
 build:
 	$(GO) build ./...
@@ -51,63 +51,6 @@ perf-gate:
 
 perf-gate-self-test:
 	./scripts/perf-gate.sh --self-test $(PERF_BASELINE)
-
-# smoke runs a full study with the live telemetry plane enabled and
-# checks every endpoint of the embedded server answers while the process
-# lingers; CI runs this against a random port.
-SMOKE_ADDR ?= 127.0.0.1:9188
-
-smoke:
-	./scripts/telemetry-smoke.sh $(SMOKE_ADDR) $(RUNLOG_DIR)
-
-# jobs-smoke starts the analysis service, submits a study over the
-# /jobs HTTP API, asserts its figures match the same-seed CLI run byte
-# for byte, and that a duplicate submission from a second tenant is
-# served from the shared result cache.
-JOBS_SMOKE_ADDR ?= 127.0.0.1:9288
-JOBS_SMOKE_WORK ?= jobs-smoke-work
-
-jobs-smoke:
-	./scripts/jobs-smoke.sh $(JOBS_SMOKE_ADDR) $(JOBS_SMOKE_WORK)
-
-# trace-smoke proves end-to-end correlation: one submitted traceparent's
-# trace id must surface in the job record, the sealed run manifest, the
-# access log and the exported span timeline (queue-wait span included),
-# and a forced-failure job must leave a correlated flight-recorder dump.
-TRACE_SMOKE_ADDR ?= 127.0.0.1:9289
-TRACE_SMOKE_WORK ?= trace-smoke-work
-
-trace-smoke:
-	./scripts/trace-smoke.sh $(TRACE_SMOKE_ADDR) $(TRACE_SMOKE_WORK)
-
-# stream-smoke runs a corpus ~10x the paper's through the study under a
-# GOMEMLIMIT a collect-all run cannot fit in, and asserts the
-# ledger-recorded peak heap stayed under the cap.
-STREAM_SMOKE_PER_TAXON ?= 334
-STREAM_SMOKE_RUNLOG ?= stream-smoke-runs
-
-stream-smoke:
-	./scripts/stream-smoke.sh $(STREAM_SMOKE_PER_TAXON) $(STREAM_SMOKE_RUNLOG)
-
-# shard-smoke runs a ~2000-project study across 3 spawned worker
-# processes and asserts the merged figures and CSV are byte-identical to
-# the single-process reference (cold and warm cache), that the warm run
-# hits the remote cache tier, and that every shard manifest carries the
-# coordinator's trace id.
-SHARD_SMOKE_PER_TAXON ?= 334
-SHARD_SMOKE_WORK ?= shard-smoke-work
-
-shard-smoke:
-	./scripts/shard-smoke.sh $(SHARD_SMOKE_PER_TAXON) $(SHARD_SMOKE_WORK)
-
-# parse-health-smoke runs `coevo parse` over the messy per-dialect DDL
-# fixture corpus: every fixture must yield statements, every diagnostic
-# must carry a taxonomy code, and auto-detection must agree with the
-# explicit dialect. Reports land in PARSE_HEALTH_OUT for CI upload.
-PARSE_HEALTH_OUT ?= parse-health
-
-parse-health-smoke:
-	./scripts/parse-health-smoke.sh $(PARSE_HEALTH_OUT)
 
 # microbench runs the per-figure/table and ablation Go benchmarks.
 microbench:

@@ -6,18 +6,7 @@ import (
 	"os"
 
 	"coevo/internal/cache"
-	"coevo/internal/engine"
 )
-
-// attachCacheMetrics wires the cache's counters into the metrics
-// collector so -metrics reports hit/miss/byte counts alongside the
-// latency summary. Either argument may be nil.
-func attachCacheMetrics(m *engine.Metrics, c *cache.Cache) {
-	if m == nil || c == nil {
-		return
-	}
-	m.SetCacheSource(func() engine.CacheStats { return engine.CacheStats(c.Stats()) })
-}
 
 // runCache administers an on-disk cache directory: stats (footprint),
 // clear (drop every entry), verify (integrity walk, removing corrupt

@@ -18,14 +18,8 @@ func runGen(ctx context.Context, args []string) error {
 	fs := newFlagSet("gen")
 	seed := fs.Int64("seed", 2023, "corpus generation seed")
 	list := fs.Bool("list", false, "list every generated project")
-	dialect := dialectFlag(fs)
 	buildPipeline := pipelineFlags(fs)
 	if ok, err := parseFlags(fs, args); !ok {
-		return err
-	}
-	// gen only counts raw DDL versions, never parses them: the flag is
-	// accepted (and validated) for CLI symmetry with study/taxa/ingest.
-	if _, err := resolveDialect(*dialect); err != nil {
 		return err
 	}
 	p, err := buildPipeline()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"coevo/internal/jobs"
+	"coevo/internal/obs"
 )
 
 // runJobs is the client side of the job service: submit work to a
@@ -50,7 +51,7 @@ flags:
 	if ok, err := parseFlags(fs, args); !ok {
 		return err
 	}
-	cl := &jobClient{base: strings.TrimRight(*server, "/"), tenant: *tenant}
+	cl := &jobClient{base: strings.TrimRight(*server, "/") + obs.APIPrefix, tenant: *tenant}
 	op, id := fs.Arg(0), fs.Arg(1)
 	needID := func() error {
 		if id == "" {
@@ -169,7 +170,7 @@ func buildSpec(specPath string, seed int64, perTaxon int, csv bool, dialect stri
 	}, nil
 }
 
-// jobClient talks to the /jobs API.
+// jobClient talks to the /api/v1/jobs API; base includes the prefix.
 type jobClient struct {
 	base   string
 	tenant string

@@ -211,8 +211,8 @@ func TestCacheSubcommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put(cache.NewKey("test/v1", []byte("a")), []byte("payload-a"))
-	c.Put(cache.NewKey("test/v1", []byte("b")), []byte("payload-b"))
+	c.Put(cache.NewHasher("test/v1").Bytes([]byte("a")).Sum(), []byte("payload-a"))
+	c.Put(cache.NewHasher("test/v1").Bytes([]byte("b")).Sum(), []byte("payload-b"))
 
 	for _, op := range []string{"stats", "verify", "clear", "stats"} {
 		if err := runCache([]string{"-cache-dir", dir, op}); err != nil {

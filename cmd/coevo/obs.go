@@ -178,9 +178,6 @@ func pipelineFlags(fs *flag.FlagSet) func() (*pipeline, error) {
 		if len(observers) > 0 {
 			p.exec.OnEvent = engine.Tee(observers...)
 		}
-		if p.cache != nil {
-			attachCacheMetrics(p.metrics, p.cache)
-		}
 		// Register the cache counter family even for a cache-less run (nil
 		// *Cache samples as all-zero), so the unified report's schema is
 		// stable whether or not -cache-dir was passed.
@@ -266,23 +263,23 @@ func (p *pipeline) recordSharded(res *shard.Result, shards int) {
 func (p *pipeline) sealManifest(runErr error) error {
 	m := p.manifest
 	m.Workers = p.exec.Workers
+	// A sharded run records the across-shard stage and cache sums up
+	// front (recordSharded); the local collector and cache saw none of
+	// that work, so they only fill fields that are still empty.
+	if p.cache != nil && m.Cache == nil {
+		m.Cache = runlog.NewCacheStats(p.cache.Stats())
+	}
 	if p.metrics != nil {
 		s := p.metrics.Snapshot()
 		m.P50Seconds = s.P50.Seconds()
 		m.P95Seconds = s.P95.Seconds()
 		m.MaxSeconds = s.Max.Seconds()
 		m.ThroughputPerSec = s.Throughput
-		// A sharded run records the across-shard stage and cache sums up
-		// front (recordSharded); the local collector saw none of that work,
-		// so it only fills fields that are still empty.
 		if len(s.StageTotals) > 0 && m.StageSeconds == nil {
 			m.StageSeconds = make(map[string]float64, len(s.StageTotals))
 			for stage, d := range s.StageTotals {
 				m.StageSeconds[stage] = d.Seconds()
 			}
-		}
-		if c := s.Cache; c != nil && m.Cache == nil {
-			m.Cache = runlog.NewCacheStats(cache.Stats(*c))
 		}
 	}
 	p.proc.Sample()

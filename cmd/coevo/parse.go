@@ -14,8 +14,8 @@ import (
 // statement-level stats, every surviving statement and every categorized
 // diagnostic — the same report shape the dialect fixture goldens store.
 // The command fails when nothing parsed or a diagnostic escaped the code
-// taxonomy, so scripts (see scripts/parse-health-smoke.sh) can gate on
-// its exit code; -strict fails on any diagnostic at all.
+// taxonomy, so scripts can gate on its exit code; -strict fails on any
+// diagnostic at all.
 func runParse(args []string) error {
 	fs := newFlagSet("parse")
 	dialect := dialectFlag(fs)

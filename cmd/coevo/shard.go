@@ -138,12 +138,12 @@ func runStudySharded(ctx context.Context, p *pipeline, seed int64, perTaxon int,
 	}
 
 	// Serve this run's cache to the workers as their remote tier. The
-	// telemetry server (when listening) already mounts /cache; otherwise
-	// a loopback-only tier server exists for the run's duration.
+	// telemetry server (when listening) already mounts /api/v1/cache;
+	// otherwise a loopback-only tier server exists for the run's duration.
 	var cacheURL string
 	if p.cache != nil {
 		if p.server != nil {
-			cacheURL = p.server.URL() + "/cache"
+			cacheURL = p.server.URL() + obs.APIPrefix + "/cache"
 		} else {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -152,7 +152,7 @@ func runStudySharded(ctx context.Context, p *pipeline, seed int64, perTaxon int,
 			tierSrv := &http.Server{Handler: cache.TierHandler(p.cache)}
 			go tierSrv.Serve(ln) //nolint:errcheck // closed on return
 			defer tierSrv.Close()
-			cacheURL = "http://" + ln.Addr().String() + "/cache"
+			cacheURL = "http://" + ln.Addr().String() + obs.APIPrefix + "/cache"
 		}
 	}
 

@@ -181,7 +181,7 @@ func TestTelemetryDuringStudy(t *testing.T) {
 // the sealed manifest.
 func TestLingerKeepsServerUp(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "runs")
-	fs := newFlagSet("gen")
+	fs := newFlagSet("study")
 	builder := pipelineFlags(fs)
 	if ok, err := parseFlags(fs, []string{
 		"-listen", "127.0.0.1:0", "-runlog-dir", ledger, "-linger", "30s"}); !ok {
@@ -202,7 +202,8 @@ func TestLingerKeepsServerUp(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		code, body := getBody(t, url+"/runs")
-		if code == 200 && strings.Contains(body, `"projects": 6`) {
+		if code == 200 && strings.Contains(body, `"command": "study"`) &&
+			strings.Contains(body, `"outcome": "ok"`) && strings.Contains(body, `"projects": 6`) {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -257,9 +257,7 @@ func (c *Cache) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, e
 	return v, nil
 }
 
-// Stats is a point-in-time snapshot of the cache's counters. The field
-// layout is mirrored by engine.CacheStats so the execution engine's
-// metrics collector can surface it without importing this package.
+// Stats is a point-in-time snapshot of the cache's counters.
 type Stats struct {
 	Hits         int64 // Get calls served from any layer
 	Misses       int64 // Get calls that found nothing

@@ -12,11 +12,11 @@ import (
 
 func TestNilCacheIsAlwaysMissNoOp(t *testing.T) {
 	var c *Cache
-	if _, ok := c.Get(NewKey("s", nil)); ok {
+	if _, ok := c.Get(NewHasher("s").Bytes(nil).Sum()); ok {
 		t.Error("nil cache hit")
 	}
-	c.Put(NewKey("s", nil), []byte("x")) // must not panic
-	v, err := c.GetOrCompute(NewKey("s", nil), func() ([]byte, error) { return []byte("y"), nil })
+	c.Put(NewHasher("s").Bytes(nil).Sum(), []byte("x")) // must not panic
+	v, err := c.GetOrCompute(NewHasher("s").Bytes(nil).Sum(), func() ([]byte, error) { return []byte("y"), nil })
 	if err != nil || string(v) != "y" {
 		t.Errorf("GetOrCompute on nil cache: %q, %v", v, err)
 	}
@@ -36,8 +36,8 @@ func TestNilCacheIsAlwaysMissNoOp(t *testing.T) {
 
 func TestMemoryRoundTrip(t *testing.T) {
 	c := NewMemory()
-	k1 := NewKey("stage/v1", []byte("input"))
-	k2 := NewKey("stage/v2", []byte("input")) // same input, bumped stage
+	k1 := NewHasher("stage/v1").Bytes([]byte("input")).Sum()
+	k2 := NewHasher("stage/v2").Bytes([]byte("input")).Sum() // same input, bumped stage
 	if k1 == k2 {
 		t.Fatal("stage bump must change the key")
 	}
@@ -56,7 +56,7 @@ func TestMemoryRoundTrip(t *testing.T) {
 
 func TestDiskPersistenceAcrossInstances(t *testing.T) {
 	dir := t.TempDir()
-	key := NewKey("stage/v1", []byte("payload-input"))
+	key := NewHasher("stage/v1").Bytes([]byte("payload-input")).Sum()
 
 	c1, err := New(Options{Dir: dir})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestCorruptEntrySelfHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := NewKey("stage/v1", []byte("in"))
+	key := NewHasher("stage/v1").Bytes([]byte("in")).Sum()
 	c.Put(key, []byte("good value"))
 
 	path := c.disk.path(key)
@@ -128,7 +128,7 @@ func TestTruncatedAndForeignEntries(t *testing.T) {
 	}
 	keys := make([]Key, 3)
 	for i := range keys {
-		keys[i] = NewKey("stage/v1", []byte{byte(i)})
+		keys[i] = NewHasher("stage/v1").Bytes([]byte{byte(i)}).Sum()
 		c.Put(keys[i], bytes.Repeat([]byte{byte(i)}, 10+i))
 	}
 	// Truncate one entry mid-payload.
@@ -164,13 +164,13 @@ func TestClear(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		c.Put(NewKey("s", []byte{byte(i)}), []byte("v"))
+		c.Put(NewHasher("s").Bytes([]byte{byte(i)}).Sum(), []byte("v"))
 	}
 	if err := c.Clear(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, ok := c.Get(NewKey("s", []byte{byte(i)})); ok {
+		if _, ok := c.Get(NewHasher("s").Bytes([]byte{byte(i)}).Sum()); ok {
 			t.Fatal("entry survived Clear")
 		}
 	}
@@ -183,7 +183,7 @@ func TestLRUEviction(t *testing.T) {
 	l := newLRUStore(100, 1000)
 	var keys []Key
 	for i := 0; i < 20; i++ {
-		k := NewKey("s", []byte{byte(i)})
+		k := NewHasher("s").Bytes([]byte{byte(i)}).Sum()
 		keys = append(keys, k)
 		l.put(k, bytes.Repeat([]byte{byte(i)}, 10)) // 10 bytes each, cap 100
 	}
@@ -202,7 +202,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("expected survivor")
 	}
 	for i := 20; i < 28; i++ {
-		l.put(NewKey("s", []byte{byte(i)}), bytes.Repeat([]byte{0}, 10))
+		l.put(NewHasher("s").Bytes([]byte{byte(i)}).Sum(), bytes.Repeat([]byte{0}, 10))
 	}
 	if _, ok := l.get(keys[10]); !ok {
 		t.Error("recently-used entry evicted")
@@ -211,7 +211,7 @@ func TestLRUEviction(t *testing.T) {
 	// Entry-count bound.
 	l2 := newLRUStore(1<<20, 5)
 	for i := 0; i < 10; i++ {
-		l2.put(NewKey("s", []byte{byte(i)}), []byte("v"))
+		l2.put(NewHasher("s").Bytes([]byte{byte(i)}).Sum(), []byte("v"))
 	}
 	if l2.len() != 5 {
 		t.Errorf("entry bound: len = %d", l2.len())
@@ -219,19 +219,19 @@ func TestLRUEviction(t *testing.T) {
 
 	// Oversized value: rejected outright, store stays intact.
 	l3 := newLRUStore(10, 10)
-	l3.put(NewKey("s", []byte("small")), []byte("ok"))
-	l3.put(NewKey("s", []byte("big")), bytes.Repeat([]byte{0}, 11))
-	if _, ok := l3.get(NewKey("s", []byte("big"))); ok {
+	l3.put(NewHasher("s").Bytes([]byte("small")).Sum(), []byte("ok"))
+	l3.put(NewHasher("s").Bytes([]byte("big")).Sum(), bytes.Repeat([]byte{0}, 11))
+	if _, ok := l3.get(NewHasher("s").Bytes([]byte("big")).Sum()); ok {
 		t.Error("oversized value stored")
 	}
-	if _, ok := l3.get(NewKey("s", []byte("small"))); !ok {
+	if _, ok := l3.get(NewHasher("s").Bytes([]byte("small")).Sum()); !ok {
 		t.Error("small value lost to oversized put")
 	}
 }
 
 func TestGetOrCompute(t *testing.T) {
 	c := NewMemory()
-	key := NewKey("s", []byte("k"))
+	key := NewHasher("s").Bytes([]byte("k")).Sum()
 	calls := 0
 	compute := func() ([]byte, error) { calls++; return []byte("computed"), nil }
 	for i := 0; i < 3; i++ {
@@ -244,7 +244,7 @@ func TestGetOrCompute(t *testing.T) {
 		t.Errorf("compute ran %d times", calls)
 	}
 	// Errors pass through and nothing is stored.
-	ekey := NewKey("s", []byte("err"))
+	ekey := NewHasher("s").Bytes([]byte("err")).Sum()
 	wantErr := fmt.Errorf("compute failed")
 	if _, err := c.GetOrCompute(ekey, func() ([]byte, error) { return nil, wantErr }); err != wantErr {
 		t.Errorf("error not passed through: %v", err)
@@ -265,7 +265,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				key := NewKey("s", []byte{byte(i % 32)})
+				key := NewHasher("s").Bytes([]byte{byte(i % 32)}).Sum()
 				want := bytes.Repeat([]byte{byte(i % 32)}, 8)
 				c.Put(key, want)
 				if v, ok := c.Get(key); ok && !bytes.Equal(v, want) {
@@ -373,7 +373,7 @@ func TestCodecFailures(t *testing.T) {
 
 func TestStatsString(t *testing.T) {
 	c := NewMemory()
-	key := NewKey("s", []byte("k"))
+	key := NewHasher("s").Bytes([]byte("k")).Sum()
 	c.Get(key)
 	c.Put(key, []byte("v"))
 	c.Get(key)

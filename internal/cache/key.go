@@ -16,14 +16,6 @@ type Key [sha256.Size]byte
 // String renders the key as lower-case hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// NewKey addresses one input blob under a stage version (e.g.
-// "study/measure/v3"): shorthand for NewHasher(stage).Bytes(input).Sum().
-// Bump the stage version string whenever the stage's implementation
-// changes observable output; that is the cache's only invalidation rule.
-func NewKey(stage string, input []byte) Key {
-	return NewHasher(stage).Bytes(input).Sum()
-}
-
 // Hasher builds a key from a sequence of typed fields. Every field is
 // framed (length-prefixed or fixed-width) so distinct field sequences can
 // never collide by concatenation ambiguity.
@@ -31,7 +23,10 @@ type Hasher struct {
 	h hash.Hash
 }
 
-// NewHasher starts a key over the given stage-version string.
+// NewHasher starts a key over the given stage-version string (e.g.
+// "study/measure/v3"). Bump the stage version string whenever the stage's
+// implementation changes observable output; that is the cache's only
+// invalidation rule.
 func NewHasher(stage string) *Hasher {
 	h := &Hasher{h: sha256.New()}
 	return h.String(stage)

@@ -19,9 +19,6 @@ type Metrics struct {
 	failed    int
 	latencies []time.Duration
 	stages    map[string]time.Duration
-	// cacheSource, when set, is sampled at Snapshot time to attach the
-	// result cache's hit/miss/byte counters to the report.
-	cacheSource func() CacheStats
 }
 
 // NewMetrics returns a collector; the throughput clock starts now.
@@ -48,37 +45,6 @@ func (m *Metrics) Observe(e Event) {
 	}
 }
 
-// CacheStats is a result-cache counter snapshot. It mirrors cache.Stats
-// field-for-field so callers convert with a plain struct conversion —
-// the engine deliberately does not import the cache (it sits below it).
-type CacheStats struct {
-	Hits         int64
-	Misses       int64
-	MemoryHits   int64
-	DiskHits     int64
-	RemoteHits   int64
-	Puts         int64
-	Corrupt      int64
-	BytesRead    int64
-	BytesWritten int64
-
-	MemoryMisses int64
-	DiskMisses   int64
-	RemoteMisses int64
-
-	RemoteBytesRead    int64
-	RemoteBytesWritten int64
-}
-
-// SetCacheSource registers a function sampled at Snapshot time to attach
-// result-cache counters to the report (Snapshot.Cache). A nil source
-// leaves the snapshot without a cache section.
-func (m *Metrics) SetCacheSource(src func() CacheStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cacheSource = src
-}
-
 // Snapshot is a point-in-time metrics summary.
 type Snapshot struct {
 	Total  int // tasks in the run
@@ -93,9 +59,6 @@ type Snapshot struct {
 	Throughput float64
 	// StageTotals sums the per-stage timings across all tasks.
 	StageTotals map[string]time.Duration
-	// Cache carries the result-cache counters when a source was
-	// registered with SetCacheSource; nil otherwise.
-	Cache *CacheStats
 }
 
 // Snapshot summarizes everything observed so far.
@@ -104,10 +67,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	defer m.mu.Unlock()
 	s := Snapshot{Total: m.total, Done: m.done, Failed: m.failed,
 		StageTotals: make(map[string]time.Duration, len(m.stages))}
-	if m.cacheSource != nil {
-		cs := m.cacheSource()
-		s.Cache = &cs
-	}
 	for k, v := range m.stages {
 		s.StageTotals[k] = v
 	}
@@ -155,30 +114,7 @@ func (s Snapshot) String() string {
 			fmt.Fprintf(&b, " %s=%v", name, s.StageTotals[name].Round(time.Microsecond))
 		}
 	}
-	if c := s.Cache; c != nil {
-		rate := 0.0
-		if c.Hits+c.Misses > 0 {
-			rate = float64(c.Hits) / float64(c.Hits+c.Misses)
-		}
-		fmt.Fprintf(&b, "\ncache: %d hits (%d mem, %d disk), %d misses (%.0f%% hit), %d puts, %d corrupt healed, %s read, %s written",
-			c.Hits, c.MemoryHits, c.DiskHits, c.Misses, 100*rate, c.Puts, c.Corrupt,
-			byteSize(c.BytesRead), byteSize(c.BytesWritten))
-	}
 	return b.String()
-}
-
-// byteSize renders a byte count with a binary unit suffix.
-func byteSize(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1fGiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }
 
 // Tee fans one event stream out to several observers, preserving the

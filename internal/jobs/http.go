@@ -1,7 +1,7 @@
 package jobs
 
-// The multi-tenant HTTP face of the queue, mounted at /jobs by the
-// embedded observability server:
+// The multi-tenant HTTP face of the queue, mounted at /api/v1/jobs (and
+// the legacy /jobs alias) by the embedded observability server:
 //
 //	POST /jobs              submit a spec (202; 400 invalid, 429 over quota)
 //	GET  /jobs              list jobs (?tenant= filters)
@@ -124,7 +124,7 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	w.Header().Set("Location", "/jobs/"+j.ID)
+	w.Header().Set("Location", obs.APIPrefix+"/jobs/"+j.ID)
 	writeJSON(w, http.StatusAccepted, j)
 }
 

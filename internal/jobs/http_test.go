@@ -65,7 +65,7 @@ func TestHTTPSubmitStatusResult(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
 	}
-	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, "/jobs/j-") {
+	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, "/api/v1/jobs/j-") {
 		t.Errorf("Location = %q", loc)
 	}
 	j := decodeJob(t, resp)

@@ -215,7 +215,7 @@ func post(ctx context.Context, client *http.Client, addr string, req *RunRequest
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/shard/run", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+obs.APIPrefix+"/shard/run", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

@@ -25,13 +25,14 @@ func traceMiddleware(next http.Handler) http.Handler {
 	})
 }
 
-// newWorkerServer mounts a fresh worker on an httptest server the way
-// obs.Serve would: /shard/run with trace propagation.
+// newWorkerServer mounts a fresh worker on an httptest server at the
+// versioned route only, with obs.Serve's trace propagation, so a client
+// still on the legacy /shard/run alias fails.
 func newWorkerServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	w := &Worker{}
 	mux := http.NewServeMux()
-	mux.Handle("/shard/run", traceMiddleware(w.Handler()))
+	mux.Handle(obs.APIPrefix+"/shard/run", traceMiddleware(w.Handler()))
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -98,7 +99,7 @@ func TestShardedRunMatchesSingleShard(t *testing.T) {
 func TestWorkerRejectsBadRequests(t *testing.T) {
 	srv := newWorkerServer(t)
 	post := func(body string) int {
-		resp, err := http.Post(srv.URL+"/shard/run", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+obs.APIPrefix+"/shard/run", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST: %v", err)
 		}
@@ -117,7 +118,7 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	if code := post(`not json`); code != http.StatusBadRequest {
 		t.Errorf("malformed body = %d, want 400", code)
 	}
-	resp, err := http.Get(srv.URL + "/shard/run")
+	resp, err := http.Get(srv.URL + obs.APIPrefix + "/shard/run")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
 	}

@@ -41,8 +41,9 @@ func TestDialectFixtureCorpus(t *testing.T) {
 	}
 }
 
-// TestDialectFixtureHealth asserts the corpus-wide invariants the
-// parse-health smoke script also checks: every fixture yields statements,
+// TestDialectFixtureHealth asserts the corpus-wide invariants that
+// cmd/coevo's TestEndToEndParse also checks through `coevo parse`: every
+// fixture yields statements,
 // every diagnostic is categorized with a position, and the stats add up.
 func TestDialectFixtureHealth(t *testing.T) {
 	for _, d := range Dialects() {

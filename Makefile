@@ -16,10 +16,12 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# verify is the full gate: compile everything, vet, and run the test
-# suite under the race detector — the execution engine's concurrency must
-# stay race-clean.
+# verify is the full gate: gofmt-clean sources, compile everything, vet,
+# and run the test suite under the race detector — the execution engine's
+# concurrency must stay race-clean.
 verify:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 
 # bench times full study runs — cold and warm cache, workers=1 vs

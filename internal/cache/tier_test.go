@@ -150,9 +150,9 @@ func TestCacheTierMetricsExposition(t *testing.T) {
 
 	key, val := tierKey("m"), []byte("metric value")
 	origin.Put(key, val)
-	c.Get(key)              // memory miss, remote hit
-	c.Get(key)              // memory hit
-	c.Get(tierKey("gone"))  // memory miss, remote miss
+	c.Get(key)             // memory miss, remote hit
+	c.Get(key)             // memory hit
+	c.Get(tierKey("gone")) // memory miss, remote miss
 	c.Put(tierKey("w"), val)
 
 	var buf bytes.Buffer

@@ -41,10 +41,28 @@ type schemaBuilder struct {
 	// renderBuf is reused across renders; the returned bytes are only
 	// valid until the next render call.
 	renderBuf []byte
+	// touchedTables and touchedCols are applyUnits' per-call touched sets
+	// and candidates is pickUntouchedColumn's scratch, all reused across
+	// calls.
+	touchedTables map[*genTable]bool
+	touchedCols   map[colKey]bool
+	candidates    []colRef
+}
+
+// colKey identifies a column of the generator's schema model.
+type colKey struct {
+	t   *genTable
+	col string
+}
+
+// colRef locates a column by table and position.
+type colRef struct {
+	t  *genTable
+	ci int
 }
 
 func newSchemaBuilder(rng *rand.Rand) *schemaBuilder {
-	return &schemaBuilder{rng: rng}
+	return &schemaBuilder{rng: rng, touchedTables: map[*genTable]bool{}, touchedCols: map[colKey]bool{}}
 }
 
 // addTable creates a new table with exactly attrs columns and returns the
@@ -114,9 +132,9 @@ func (b *schemaBuilder) newColumn() genColumn {
 func (b *schemaBuilder) applyUnits(units int) {
 	// Identities of tables/columns touched in this call; they are excluded
 	// from destructive follow-ups so no unit cancels out.
-	touchedTables := map[string]bool{}
-	touchedCols := map[string]bool{}
-	key := func(t *genTable, c string) string { return t.name + "." + c }
+	touchedTables, touchedCols := b.touchedTables, b.touchedCols
+	clear(touchedTables)
+	clear(touchedCols)
 
 	for units > 0 {
 		r := b.rng.Float64()
@@ -132,9 +150,9 @@ func (b *schemaBuilder) applyUnits(units int) {
 			}
 			units -= b.addTable(size)
 			created := b.tables[len(b.tables)-1]
-			touchedTables[created.name] = true
+			touchedTables[created] = true
 			for _, c := range created.cols {
-				touchedCols[key(created, c.name)] = true
+				touchedCols[colKey{created, c.name}] = true
 			}
 		case r < 0.20 && len(b.tables) > 1:
 			// Drop an untouched table no larger than the remaining budget.
@@ -146,22 +164,22 @@ func (b *schemaBuilder) applyUnits(units int) {
 			fallthrough
 		case r < 0.40:
 			// Type-change an untouched existing column.
-			if t, ci, ok := b.pickUntouchedColumn(touchedCols, key); ok {
+			if t, ci, ok := b.pickUntouchedColumn(touchedCols); ok {
 				old := t.cols[ci].typ
 				for t.cols[ci].typ == old {
 					t.cols[ci].typ = columnTypes[b.rng.Intn(len(columnTypes))]
 				}
-				touchedCols[key(t, t.cols[ci].name)] = true
-				touchedTables[t.name] = true // dropping it later would erase this unit
+				touchedCols[colKey{t, t.cols[ci].name}] = true
+				touchedTables[t] = true // dropping it later would erase this unit
 				units--
 				continue
 			}
 			fallthrough
 		case r < 0.52:
 			// Eject an untouched existing column (keep at least id).
-			if t, ci, ok := b.pickUntouchedColumn(touchedCols, key); ok && len(t.cols) > 1 && t.cols[ci].name != "id" {
-				touchedCols[key(t, t.cols[ci].name)] = true // name retired
-				touchedTables[t.name] = true
+			if t, ci, ok := b.pickUntouchedColumn(touchedCols); ok && len(t.cols) > 1 && t.cols[ci].name != "id" {
+				touchedCols[colKey{t, t.cols[ci].name}] = true // name retired
+				touchedTables[t] = true
 				t.cols = append(t.cols[:ci], t.cols[ci+1:]...)
 				units--
 				continue
@@ -172,18 +190,18 @@ func (b *schemaBuilder) applyUnits(units int) {
 			t := b.pickWeightedTable()
 			col := b.newColumn()
 			t.cols = append(t.cols, col)
-			touchedCols[key(t, col.name)] = true
-			touchedTables[t.name] = true
+			touchedCols[colKey{t, col.name}] = true
+			touchedTables[t] = true
 			units--
 		}
 	}
 }
 
 // pickDroppableTable finds an untouched table with at most maxSize columns.
-func (b *schemaBuilder) pickDroppableTable(maxSize int, touched map[string]bool) (int, bool) {
+func (b *schemaBuilder) pickDroppableTable(maxSize int, touched map[*genTable]bool) (int, bool) {
 	var candidates []int
 	for i, t := range b.tables {
-		if !touched[t.name] && len(t.cols) <= maxSize {
+		if !touched[t] && len(t.cols) <= maxSize {
 			candidates = append(candidates, i)
 		}
 	}
@@ -194,22 +212,18 @@ func (b *schemaBuilder) pickDroppableTable(maxSize int, touched map[string]bool)
 }
 
 // pickUntouchedColumn finds a random column not yet touched in this call.
-func (b *schemaBuilder) pickUntouchedColumn(touched map[string]bool, key func(*genTable, string) string) (*genTable, int, bool) {
-	// Collect candidates lazily; schema sizes are small.
-	type cand struct {
-		t  *genTable
-		ci int
-	}
-	var candidates []cand
+func (b *schemaBuilder) pickUntouchedColumn(touched map[colKey]bool) (*genTable, int, bool) {
+	candidates := b.candidates[:0]
 	total := 0.0
 	for _, t := range b.tables {
 		for ci, c := range t.cols {
-			if c.name != "id" && !touched[key(t, c.name)] {
-				candidates = append(candidates, cand{t, ci})
+			if c.name != "id" && !touched[colKey{t, c.name}] {
+				candidates = append(candidates, colRef{t, ci})
 				total += t.heat
 			}
 		}
 	}
+	b.candidates = candidates
 	if len(candidates) == 0 {
 		return nil, 0, false
 	}

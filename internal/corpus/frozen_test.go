@@ -1,0 +1,51 @@
+package corpus
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+)
+
+// frozenHeads are the head hashes of the first three projects of the
+// seed-2023 study corpus, and frozenCorpusDigest is the sha256 over every
+// commit hash of that corpus, one "%s\n" line per commit in corpus and
+// creation order. Cached replays verify themselves by head hash, so a
+// change to either value is a change to the generator's output and must
+// come with a GenerateStage bump.
+var frozenHeads = []string{
+	"45d316c386ea25ad6438b74f6a7dc94afb26cc773d19d38f0b80af3528c5ac39",
+	"b356dc3048831ec52c2ca82de018ab6a4d8923de32046bc1055cbe67da89f3c5",
+	"2ced6b01f47667830ce872f0f5c9d5b7a10fffcf732524709f9510139674dc1a",
+}
+
+const (
+	frozenCorpusCommits = 26465
+	frozenCorpusDigest  = "2d0f99214e0540fd5489eedb82e80434fc92c88789ad769f98b7395eaf901578"
+)
+
+func TestCommitHashesFrozen(t *testing.T) {
+	projects, err := Generate(DefaultConfig(2023))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range frozenHeads {
+		if got := fmt.Sprintf("%s", projects[i].Repo.Head().Hash); got != want {
+			t.Errorf("project %d head = %s, want %s", i, got, want)
+		}
+	}
+	h := sha256.New()
+	commits := 0
+	for _, p := range projects {
+		for _, c := range p.Repo.Commits() {
+			fmt.Fprintf(h, "%s\n", c.Hash)
+			commits++
+		}
+	}
+	if commits != frozenCorpusCommits {
+		t.Errorf("corpus has %d commits, want %d", commits, frozenCorpusCommits)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != frozenCorpusDigest {
+		t.Errorf("digest over %d commit hashes = %s, want %s", commits, got, frozenCorpusDigest)
+	}
+}

@@ -74,12 +74,7 @@ func encodeProject(p *Project) ([]byte, error) {
 			}
 			content, ok := p.Repo.ChangedContent(ch)
 			if !ok {
-				// Change records from a foreign log carry no blob hash;
-				// fall back to a snapshot lookup.
-				var err error
-				if content, err = p.Repo.FileAt(c.Hash, ch.Path); err != nil {
-					return nil, err
-				}
+				return nil, fmt.Errorf("corpus: no content for %s at %s", ch.Path, c.Hash.Short())
 			}
 			e.Blob(content)
 		}
@@ -88,7 +83,7 @@ func encodeProject(p *Project) ([]byte, error) {
 	if head == nil {
 		return nil, fmt.Errorf("corpus: empty generated repository")
 	}
-	e.String(string(head.Hash))
+	e.String(head.Hash.String())
 	return e.Copy(), nil
 }
 
@@ -134,7 +129,7 @@ func decodeProject(p []byte) (*Project, error) {
 		return nil, err
 	}
 	head := repo.Head()
-	if head == nil || string(head.Hash) != wantHead {
+	if head == nil || head.Hash.String() != wantHead {
 		return nil, fmt.Errorf("corpus: replayed head hash mismatch")
 	}
 	return &Project{Name: name, Taxon: taxon, Repo: repo, DDLPath: ddlPath}, nil

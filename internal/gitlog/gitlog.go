@@ -230,7 +230,7 @@ func FromRepository(repo *vcs.Repository, noMerges bool) []Entry {
 			changes[i] = vcs.FileChange{Status: ch.Status, Path: ch.Path, OldPath: ch.OldPath}
 		}
 		e := Entry{
-			Hash:    string(le.Commit.Hash),
+			Hash:    le.Commit.Hash.String(),
 			Author:  le.Commit.Author.Name,
 			Email:   le.Commit.Author.Email,
 			Date:    le.Commit.Author.When,

@@ -246,7 +246,6 @@ func firstVersionHasCreate(versions []vcs.FileVersion) bool {
 // ProjectCommit is one non-merge commit with its file-update count and,
 // when extracted with line counting, its line churn.
 type ProjectCommit struct {
-	Hash  vcs.Hash
 	When  time.Time
 	Files int
 	// Lines is the added+removed line churn of the commit; zero unless the
@@ -321,7 +320,6 @@ func ExtractProjectHistory(repo *vcs.Repository) (*ProjectHistory, error) {
 	}
 	for _, e := range entries {
 		p.Commits = append(p.Commits, ProjectCommit{
-			Hash:  e.Commit.Hash,
 			When:  e.Commit.When(),
 			Files: len(e.Changes),
 		})
@@ -344,7 +342,6 @@ func ProjectHistoryFromLog(entries []gitlog.Entry) (*ProjectHistory, error) {
 			continue
 		}
 		p.Commits = append(p.Commits, ProjectCommit{
-			Hash:  vcs.Hash(e.Hash),
 			When:  e.Date,
 			Files: len(e.Changes),
 		})
@@ -506,7 +503,6 @@ func ExtractProjectHistoryWithLines(repo *vcs.Repository) (*ProjectHistory, erro
 			lines += textdiff.Diff(oldContent, newContent).Total()
 		}
 		p.Commits = append(p.Commits, ProjectCommit{
-			Hash:  e.Commit.Hash,
 			When:  e.Commit.When(),
 			Files: len(e.Changes),
 			Lines: lines,

@@ -309,7 +309,7 @@ func TestProjectHistoryFromLog(t *testing.T) {
 	if p.CommitCount() != 2 {
 		t.Fatalf("CommitCount = %d", p.CommitCount())
 	}
-	if p.Commits[0].Hash != "aaa" || p.Commits[1].Files != 2 {
+	if p.Commits[0].Files != 1 || p.Commits[1].Files != 2 {
 		t.Errorf("commits = %+v", p.Commits)
 	}
 	if _, err := ProjectHistoryFromLog(nil); !errors.Is(err, ErrEmptyRepo) {

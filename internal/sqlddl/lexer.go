@@ -313,8 +313,9 @@ func (l *lexer) tryBracketIdent() (string, bool) {
 
 // sqlString reads a quote-delimited string literal with both doubled
 // quote and backslash escape conventions (MySQL accepts backslash
-// escapes; Postgres the doubled-quote form). The quote is '\'' for every
-// dialect, plus '"' when the dialect treats double quotes as strings.
+// escapes; Postgres the doubled-quote form). The quote is the single
+// quote for every dialect, plus the double quote when the dialect treats
+// double quotes as strings.
 // Escape-free literals — the overwhelmingly common case — return a
 // zero-copy slice of the input buffer.
 func (l *lexer) sqlString(quote byte) (string, error) {

@@ -1,9 +1,6 @@
 package vcs
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // LogEntry pairs a commit with the file changes it introduced relative to
 // its first parent, mirroring one record of `git log --name-status`.
@@ -36,8 +33,7 @@ func (r *Repository) Log(opts LogOptions) []LogEntry {
 	defer r.mu.RUnlock()
 
 	entries := make([]LogEntry, 0, len(r.order))
-	for _, h := range r.order {
-		c := r.commits[h]
+	for _, c := range r.order {
 		if opts.NoMerges && c.IsMerge() {
 			continue
 		}
@@ -47,7 +43,7 @@ func (r *Repository) Log(opts LogOptions) []LogEntry {
 		if !opts.Until.IsZero() && c.Author.When.After(opts.Until) {
 			continue
 		}
-		changes := r.changesLocked(c)
+		changes := c.changes
 		if opts.Path != "" {
 			changes = filterPath(changes, opts.Path)
 			if len(changes) == 0 {
@@ -64,70 +60,14 @@ func (r *Repository) Log(opts LogOptions) []LogEntry {
 	return entries
 }
 
-// Changes returns the name-status change list for a single commit.
+// Changes returns the name-status change list for a single commit. The
+// slice is shared and must not be modified.
 func (r *Repository) Changes(h Hash) ([]FileChange, error) {
 	c, err := r.CommitByHash(h)
 	if err != nil {
 		return nil, err
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.changesLocked(c), nil
-}
-
-// changesLocked returns a commit's name-status list against its first
-// parent's tree. Commits created by this repository carry the list
-// memoized from commit time; the returned slice is shared and must not
-// be modified by callers.
-func (r *Repository) changesLocked(c *Commit) []FileChange {
-	if c.changesOK {
-		return c.changes
-	}
-	// Fallback for commits not created through this repository's commit()
-	// (which memoizes at creation): full parent/child snapshot diff.
-	var parentTree map[string]Hash
-	if len(c.Parents) > 0 {
-		parentTree = r.commits[c.Parents[0]].Tree()
-	}
-	tree := c.Tree()
-	renamed := r.renameIntents[c.Hash]
-
-	var changes []FileChange
-	renamedFrom := make(map[string]bool, len(renamed))
-	for newPath, oldPath := range renamed {
-		// An explicit rename is reported as a single R entry when the old
-		// path disappeared and the new path exists.
-		_, hadOld := parentTree[oldPath]
-		_, hasNew := tree[newPath]
-		_, stillHasOld := tree[oldPath]
-		if hadOld && hasNew && !stillHasOld {
-			changes = append(changes, FileChange{Status: Renamed, Path: newPath, OldPath: oldPath, blob: tree[newPath]})
-			renamedFrom[oldPath] = true
-			renamedFrom[newPath] = true
-		}
-	}
-	for path, blob := range tree {
-		if renamedFrom[path] {
-			continue
-		}
-		old, ok := parentTree[path]
-		switch {
-		case !ok:
-			changes = append(changes, FileChange{Status: Added, Path: path, blob: blob})
-		case old != blob:
-			changes = append(changes, FileChange{Status: Modified, Path: path, blob: blob})
-		}
-	}
-	for path := range parentTree {
-		if renamedFrom[path] {
-			continue
-		}
-		if _, ok := tree[path]; !ok {
-			changes = append(changes, FileChange{Status: Deleted, Path: path})
-		}
-	}
-	sort.Slice(changes, func(i, j int) bool { return changes[i].Path < changes[j].Path })
-	return changes
+	return c.changes, nil
 }
 
 func filterPath(changes []FileChange, path string) []FileChange {
@@ -180,7 +120,7 @@ func (r *Repository) FirstCommit() *Commit {
 	if len(r.order) == 0 {
 		return nil
 	}
-	return r.commits[r.order[0]]
+	return r.order[0]
 }
 
 // LastCommit returns the newest commit, or nil for an empty repository.
@@ -190,5 +130,5 @@ func (r *Repository) LastCommit() *Commit {
 	if len(r.order) == 0 {
 		return nil
 	}
-	return r.commits[r.order[len(r.order)-1]]
+	return r.order[len(r.order)-1]
 }

@@ -20,22 +20,20 @@ import (
 	"hash"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
 
-// Hash identifies a commit or blob by the hex form of its SHA-256 digest.
-type Hash string
+// Hash identifies a commit or blob by its SHA-256 digest. The zero Hash
+// names no object: an unborn branch head or a deleted file's blob.
+type Hash [sha256.Size]byte
 
-// Short returns the abbreviated (12 character) form of the hash, mirroring
-// git's abbreviated object names.
-func (h Hash) Short() string {
-	if len(h) <= 12 {
-		return string(h)
-	}
-	return string(h[:12])
-}
+// String returns the hex form of the hash, git's full object name.
+func (h Hash) String() string { return hex.EncodeToString(h[:]) }
+
+// Short returns the abbreviated (12 character) hex form of the hash,
+// mirroring git's abbreviated object names.
+func (h Hash) Short() string { return hex.EncodeToString(h[:6]) }
 
 // Signature names an author or committer at a point in time. Times are
 // normalized to UTC: the study's time quantum is the calendar month and a
@@ -74,37 +72,47 @@ type FileChange struct {
 	Path    string
 	OldPath string // set only for Renamed
 
-	// blob is the content hash of Path after the change (unset for
+	// blob is the content hash of Path after the change (zero for
 	// Deleted), letting FileVersions read historical content without
 	// materializing per-commit tree snapshots.
 	blob Hash
 }
 
-// Commit is an immutable node of the history DAG. The snapshot is stored
-// as a delta against the first parent (the staged adds/updates and
-// deletions); the full path→blob map is materialized on demand by Tree.
+// apply applies the change to a path→blob snapshot.
+func (ch *FileChange) apply(tree map[string]Hash) {
+	switch ch.Status {
+	case Deleted:
+		delete(tree, ch.Path)
+	case Renamed:
+		delete(tree, ch.OldPath)
+		tree[ch.Path] = ch.blob
+	default:
+		tree[ch.Path] = ch.blob
+	}
+}
+
+// Commit is an immutable node of the history DAG. Its name-status list
+// against the first parent is its only snapshot delta; the full
+// path→blob map is materialized on demand by Tree.
 type Commit struct {
 	Hash    Hash
 	Parents []Hash
 	Author  Signature
 	Message string
 
-	// The snapshot delta: paths added or updated by this commit with
-	// their blob hashes, paths removed, and the first parent (nil for a
-	// root commit).
-	adds   map[string]Hash
-	dels   []string
-	parent *Commit
+	// parent is the first parent (nil for a root commit), and parentBuf
+	// backs Parents for the single-parent common case.
+	parent    *Commit
+	parentBuf [1]Hash
+
+	// changes is the name-status list against the first parent, sorted by
+	// Path and computed once at commit time; Log, FileVersions, Changes
+	// and Tree all read it.
+	changes []FileChange
 
 	// tree memoizes the materialized snapshot.
 	treeOnce sync.Once
 	tree     map[string]Hash
-
-	// changes memoizes the name-status list against the first parent,
-	// computed once at commit time. Log-time recomputation used to
-	// dominate history extraction; the memo makes every Log call a read.
-	changes   []FileChange
-	changesOK bool
 }
 
 // Tree returns the commit's full path→blob snapshot, materialized from
@@ -118,12 +126,8 @@ func (c *Commit) Tree() map[string]Hash {
 		}
 		t := make(map[string]Hash)
 		for i := len(chain) - 1; i >= 0; i-- {
-			cc := chain[i]
-			for p, b := range cc.adds {
-				t[p] = b
-			}
-			for _, p := range cc.dels {
-				delete(t, p)
+			for j := range chain[i].changes {
+				chain[i].changes[j].apply(t)
 			}
 		}
 		c.tree = t
@@ -155,7 +159,7 @@ type Repository struct {
 	name     string
 	blobs    map[Hash][]byte
 	commits  map[Hash]*Commit
-	order    []Hash // commit creation order (used as the log order)
+	order    []*Commit // creation order (used as the log order)
 	branches map[string]Hash
 	// workTrees holds the mutable current snapshot of each branch, so
 	// committing applies the staged delta in place instead of copying the
@@ -163,9 +167,6 @@ type Repository struct {
 	workTrees map[string]map[string]Hash
 	current   string
 	staged    map[string]*stagedChange
-	// renameIntents records explicit renames per commit, outside the
-	// immutable Commit value so hashing stays content-only.
-	renameIntents map[Hash]map[string]string
 	// hashBuf is header scratch reused across commits while the write
 	// lock is held, keeping hashing allocation-free.
 	hashBuf []byte
@@ -174,26 +175,33 @@ type Repository struct {
 	// tree's paths in hash order and blobOff[i] the byte offset of path
 	// i's hex hash inside blobLines. A child commit that does not add or
 	// remove paths — the overwhelmingly common case — patches only its
-	// staged paths' hashes in place instead of re-collecting, re-sorting
+	// modified paths' hashes in place instead of re-collecting, re-sorting
 	// and re-rendering the whole tree.
 	hashHead    Hash
 	sortedPaths []string
 	blobLines   []byte
 	blobOff     []int
-	// blobSums interns blob hashes by raw digest, so re-storing content the
-	// repository already holds costs neither the hex string nor a copy.
-	blobSums map[[sha256.Size]byte]Hash
-	// freeStaged recycles stagedChange records across commits, and digest
-	// is the commit hasher reused under the write lock.
+	// arena is the current chunk stored blobs are carved from.
+	arena []byte
+	// freeStaged recycles stagedChange records, copy buffers included,
+	// across commits, and digest is the commit hasher reused under the
+	// write lock.
 	freeStaged []*stagedChange
 	digest     hash.Hash
 }
 
+// blobChunk is the size of the arena chunks blobs are stored in. A blob
+// larger than a quarter chunk gets an allocation of its own, so a chunk
+// abandons less than a quarter of itself when the next blob does not fit.
+const blobChunk = 32 << 10
+
 type stagedChange struct {
-	content []byte // nil means deletion
+	content []byte // the staged bytes; unused for a deletion
 	delete  bool
-	owned   bool   // content is repository-private and may be stored without copying
 	renamed string // old path if this stage is the destination of a rename
+	// buf is the record's copy buffer, kept when the record is recycled.
+	// Stage copies into it; putBlobLocked copies new content out of it.
+	buf []byte
 }
 
 // NewRepository creates an empty repository with a single branch named
@@ -201,37 +209,37 @@ type stagedChange struct {
 // "owner/project" slug in the study).
 func NewRepository(name string) *Repository {
 	return &Repository{
-		name:          name,
-		blobs:         make(map[Hash][]byte),
-		blobSums:      make(map[[sha256.Size]byte]Hash),
-		commits:       make(map[Hash]*Commit),
-		branches:      map[string]Hash{"main": ""},
-		workTrees:     map[string]map[string]Hash{"main": {}},
-		current:       "main",
-		staged:        make(map[string]*stagedChange),
-		renameIntents: make(map[Hash]map[string]string),
+		name:      name,
+		blobs:     make(map[Hash][]byte),
+		commits:   make(map[Hash]*Commit),
+		branches:  map[string]Hash{"main": {}},
+		workTrees: map[string]map[string]Hash{"main": {}},
+		current:   "main",
+		staged:    make(map[string]*stagedChange),
 	}
 }
 
-// newStagedLocked returns a zeroed stagedChange, reusing a recycled record
-// when one is available.
-func (r *Repository) newStagedLocked() *stagedChange {
-	if n := len(r.freeStaged); n > 0 {
-		st := r.freeStaged[n-1]
-		r.freeStaged = r.freeStaged[:n-1]
-		return st
+// stageLocked returns the cleared staging record for path: the one
+// already staged there, else a recycled or new one.
+func (r *Repository) stageLocked(path string) *stagedChange {
+	st, ok := r.staged[path]
+	if !ok {
+		if n := len(r.freeStaged); n > 0 {
+			st = r.freeStaged[n-1]
+			r.freeStaged = r.freeStaged[:n-1]
+		} else {
+			st = &stagedChange{}
+		}
+		r.staged[path] = st
 	}
-	return &stagedChange{}
+	st.content, st.delete, st.renamed = nil, false, ""
+	return st
 }
 
 // resetStagedLocked empties the staging area, returning its records to the
 // free list. The map itself is kept and cleared in place.
 func (r *Repository) resetStagedLocked() {
-	if len(r.staged) == 0 {
-		return
-	}
 	for _, st := range r.staged {
-		st.content, st.delete, st.owned, st.renamed = nil, false, false, ""
 		r.freeStaged = append(r.freeStaged, st)
 	}
 	clear(r.staged)
@@ -240,35 +248,30 @@ func (r *Repository) resetStagedLocked() {
 // Name returns the repository's slug.
 func (r *Repository) Name() string { return r.name }
 
-// Stage schedules path to contain content in the next commit.
+// Stage schedules path to contain content in the next commit. The bytes
+// are copied, so the caller may reuse content as soon as Stage returns.
 func (r *Repository) Stage(path string, content []byte) {
-	buf := make([]byte, len(content))
-	copy(buf, content)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.newStagedLocked()
-	st.content, st.owned = buf, true
-	r.staged[path] = st
+	st := r.stageLocked(path)
+	st.buf = append(st.buf[:0], content...)
+	st.content = st.buf
 }
 
-// StageString is a convenience wrapper over Stage for text files. The
-// string conversion already yields a private copy, so none is added.
+// StageString is Stage for text content.
 func (r *Repository) StageString(path, content string) {
-	buf := []byte(content)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.newStagedLocked()
-	st.content, st.owned = buf, true
-	r.staged[path] = st
+	st := r.stageLocked(path)
+	st.buf = append(st.buf[:0], content...)
+	st.content = st.buf
 }
 
 // Remove schedules path for deletion in the next commit.
 func (r *Repository) Remove(path string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.newStagedLocked()
-	st.delete = true
-	r.staged[path] = st
+	r.stageLocked(path).delete = true
 }
 
 // Move schedules a rename of oldPath to newPath, keeping the current
@@ -276,25 +279,14 @@ func (r *Repository) Remove(path string) {
 func (r *Repository) Move(oldPath, newPath string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tree := r.headTreeLocked()
-	blob, ok := tree[oldPath]
+	blob, ok := r.workTrees[r.current][oldPath]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchFile, oldPath)
 	}
-	st := r.newStagedLocked()
-	st.delete = true
-	r.staged[oldPath] = st
-	st = r.newStagedLocked()
+	r.stageLocked(oldPath).delete = true
+	st := r.stageLocked(newPath)
 	st.content, st.renamed = r.blobs[blob], oldPath
-	r.staged[newPath] = st
 	return nil
-}
-
-// headTreeLocked returns the current branch's mutable work tree — the
-// snapshot at its head. Callers must hold at least the read lock and
-// must not mutate the map outside commit.
-func (r *Repository) headTreeLocked() map[string]Hash {
-	return r.workTrees[r.current]
 }
 
 // Head returns the commit the current branch points at, or nil if the
@@ -302,11 +294,7 @@ func (r *Repository) headTreeLocked() map[string]Hash {
 func (r *Repository) Head() *Commit {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	head := r.branches[r.current]
-	if head == "" {
-		return nil
-	}
-	return r.commits[head]
+	return r.commits[r.branches[r.current]]
 }
 
 // Branch returns the name of the current branch.
@@ -351,28 +339,26 @@ func (r *Repository) Checkout(name string) error {
 // Commit dates must be monotonically non-decreasing along the first-parent
 // chain; the study depends on ordered histories.
 func (r *Repository) Commit(message string, author Signature) (*Commit, error) {
-	return r.commit(message, author, nil)
+	return r.commit(message, author)
 }
 
 // CommitMerge records the staged changes as a merge commit whose second
 // parent is other. Merge commits are what `--no-merges` excludes in the
 // project-activity extraction.
 func (r *Repository) CommitMerge(message string, author Signature, other Hash) (*Commit, error) {
-	return r.commit(message, author, []Hash{other})
+	return r.commit(message, author, other)
 }
 
-func (r *Repository) commit(message string, author Signature, extraParents []Hash) (*Commit, error) {
+func (r *Repository) commit(message string, author Signature, extraParents ...Hash) (*Commit, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
 	author = author.normalize()
 	head := r.branches[r.current]
-	if head != "" {
-		parent := r.commits[head]
-		if author.When.Before(parent.Author.When) {
-			return nil, fmt.Errorf("%w: %s < %s", ErrNonMonotonic,
-				author.When.Format(time.RFC3339), parent.Author.When.Format(time.RFC3339))
-		}
+	parent := r.commits[head]
+	if parent != nil && author.When.Before(parent.Author.When) {
+		return nil, fmt.Errorf("%w: %s < %s", ErrNonMonotonic,
+			author.When.Format(time.RFC3339), parent.Author.When.Format(time.RFC3339))
 	}
 	for _, p := range extraParents {
 		if _, ok := r.commits[p]; !ok {
@@ -384,10 +370,10 @@ func (r *Repository) commit(message string, author Signature, extraParents []Has
 	}
 
 	// The whole staged delta is evaluated against the branch work tree
-	// BEFORE it is mutated: blob hashes, added/removed path detection, the
-	// name-status list and the rename records all derive from (pre-state,
-	// staged) alone — the post-state is exactly pre-state plus the delta,
-	// so no full tree scan or copy is needed anywhere.
+	// BEFORE it is mutated: blob hashes, added/removed path detection and
+	// the name-status list all derive from (pre-state, staged) alone — the
+	// post-state is exactly pre-state plus the name-status list, so no
+	// full tree scan or copy is needed anywhere.
 	wt := r.workTrees[r.current]
 	// has reports whether path exists in the post-commit snapshot.
 	has := func(path string) bool {
@@ -399,65 +385,44 @@ func (r *Repository) commit(message string, author Signature, extraParents []Has
 	}
 
 	keysChanged := false
-	var adds map[string]Hash
-	var dels []string
-	var renames map[string]string
 	changes := make([]FileChange, 0, len(r.staged))
 	var renamedFrom map[string]bool
 	for path, st := range r.staged {
 		if st.renamed == "" {
 			continue
 		}
-		if renames == nil {
-			renames = make(map[string]string)
-		}
-		renames[path] = st.renamed
 		// An explicit rename is reported as a single R entry when the old
 		// path disappeared and the new path exists.
-		_, hadOld := wt[st.renamed]
-		if hadOld && has(path) && !has(st.renamed) {
-			if renamedFrom == nil {
-				renamedFrom = make(map[string]bool)
-			}
-			// blob is filled in below, once the staged content is stored.
-			changes = append(changes, FileChange{Status: Renamed, Path: path, OldPath: st.renamed})
-			renamedFrom[st.renamed] = true
-			renamedFrom[path] = true
+		if _, hadOld := wt[st.renamed]; !hadOld || !has(path) || has(st.renamed) {
+			continue
 		}
+		if renamedFrom == nil {
+			renamedFrom = make(map[string]bool)
+		}
+		changes = append(changes, FileChange{Status: Renamed, Path: path, OldPath: st.renamed, blob: r.putBlobLocked(st.content)})
+		renamedFrom[st.renamed] = true
+		renamedFrom[path] = true
 	}
 	for path, st := range r.staged {
+		if renamedFrom[path] {
+			keysChanged = true // a rename removes its old path
+			continue
+		}
 		old, had := wt[path]
 		if st.delete {
 			if had {
 				keysChanged = true
-				dels = append(dels, path)
-				if !renamedFrom[path] {
-					changes = append(changes, FileChange{Status: Deleted, Path: path})
-				}
+				changes = append(changes, FileChange{Status: Deleted, Path: path})
 			}
 			continue
 		}
-		if !had {
-			keysChanged = true
-		}
-		blob := r.putBlobLocked(st.content, st.owned)
-		if adds == nil {
-			adds = make(map[string]Hash, len(r.staged))
-		}
-		adds[path] = blob
-		if renamedFrom[path] {
-			continue
-		}
+		blob := r.putBlobLocked(st.content)
 		switch {
 		case !had:
+			keysChanged = true
 			changes = append(changes, FileChange{Status: Added, Path: path, blob: blob})
 		case old != blob:
 			changes = append(changes, FileChange{Status: Modified, Path: path, blob: blob})
-		}
-	}
-	for i := range changes {
-		if changes[i].Status == Renamed {
-			changes[i].blob = adds[changes[i].Path]
 		}
 	}
 	// Change lists are a handful of entries; an insertion sort by the
@@ -467,87 +432,68 @@ func (r *Repository) commit(message string, author Signature, extraParents []Has
 			changes[j], changes[j-1] = changes[j-1], changes[j]
 		}
 	}
-
 	// Apply the delta to the branch work tree (the post-commit snapshot).
-	for path, blob := range adds {
-		wt[path] = blob
-	}
-	for _, path := range dels {
-		delete(wt, path)
+	for i := range changes {
+		changes[i].apply(wt)
 	}
 
-	var parents []Hash
-	var parentCommit *Commit
-	if head != "" || len(extraParents) > 0 {
-		parents = make([]Hash, 0, 1+len(extraParents))
-	}
-	if head != "" {
+	c := &Commit{Author: author, Message: message, parent: parent, changes: changes}
+	parents := c.parentBuf[:0]
+	if parent != nil {
 		parents = append(parents, head)
-		parentCommit = r.commits[head]
 	}
-	parents = append(parents, extraParents...)
-
-	c := &Commit{
-		Parents: parents,
-		Author:  author,
-		Message: message,
-		adds:    adds,
-		dels:    dels,
-		parent:  parentCommit,
+	if parents = append(parents, extraParents...); len(parents) > 0 {
+		c.Parents = parents
 	}
-	c.Hash = r.hashCommitLocked(c, len(r.order), head, keysChanged, wt)
+	c.Hash = r.hashCommitLocked(c, keysChanged, wt)
 	r.hashHead = c.Hash
 	r.commits[c.Hash] = c
-	r.order = append(r.order, c.Hash)
+	r.order = append(r.order, c)
 	r.branches[r.current] = c.Hash
-	// Remember explicit renames so Log can report R statuses.
-	if len(renames) > 0 {
-		r.renameIntents[c.Hash] = renames
-	}
-	// Memoize the name-status list: Log, FileVersions and Changes all
-	// reuse it read-only afterwards.
-	c.changes = changes
-	c.changesOK = true
 	r.resetStagedLocked()
 	return c, nil
 }
 
-// putBlobLocked stores content in the blob store and returns its hash.
-// When the caller owns content (it is already a repository-private copy)
-// the bytes are stored without another copy.
-func (r *Repository) putBlobLocked(content []byte, owned bool) Hash {
-	sum := sha256.Sum256(content)
-	if h, ok := r.blobSums[sum]; ok {
+// putBlobLocked stores content in the blob store, unless the store already
+// holds it, and returns its hash. New content is copied into the arena, or
+// above a quarter chunk into an allocation of its own, as a slice whose
+// capacity is its length: appending to a stored blob can never overwrite
+// its neighbour.
+func (r *Repository) putBlobLocked(content []byte) Hash {
+	h := Hash(sha256.Sum256(content))
+	if _, ok := r.blobs[h]; ok {
 		return h
 	}
-	h := Hash(hex.EncodeToString(sum[:]))
-	if owned {
-		r.blobs[h] = content
-	} else {
-		buf := make([]byte, len(content))
-		copy(buf, content)
-		r.blobs[h] = buf
+	n := len(content)
+	if n > blobChunk/4 {
+		r.blobs[h] = append(make([]byte, 0, n), content...)
+		return h
 	}
-	r.blobSums[sum] = h
+	if r.arena == nil || len(r.arena)+n > cap(r.arena) {
+		r.arena = make([]byte, 0, blobChunk)
+	}
+	start := len(r.arena)
+	r.arena = append(r.arena, content...)
+	r.blobs[h] = r.arena[start:len(r.arena):len(r.arena)]
 	return h
 }
 
 // hashCommitLocked derives a commit hash from the commit's content plus
-// a creation sequence number (which keeps hashes unique even for
+// its creation sequence number (which keeps hashes unique even for
 // identical content committed twice). The pre-image layout is frozen —
 // cached corpus replays verify themselves by head hash — so this builds
-// exactly the bytes the original fmt-based writer produced. When the
-// parent's blob-line memo is current and no path was added or removed,
-// only the staged paths' hashes are patched in place (every blob hash is
-// the same fixed-width hex, so offsets are stable).
-func (r *Repository) hashCommitLocked(c *Commit, seq int, parent Hash, keysChanged bool, tree map[string]Hash) Hash {
+// exactly the bytes the original fmt-based writer produced, every hash
+// in hex. When the parent's blob-line memo is current and no path was
+// added or removed, only the modified paths' hashes are patched in place
+// (every blob hash is the same fixed-width hex, so offsets are stable).
+func (r *Repository) hashCommitLocked(c *Commit, keysChanged bool, tree map[string]Hash) Hash {
 	b := r.hashBuf[:0]
 	b = append(b, "seq "...)
-	b = strconv.AppendInt(b, int64(seq), 10)
+	b = strconv.AppendInt(b, int64(len(r.order)), 10)
 	b = append(b, '\n')
 	for _, p := range c.Parents {
 		b = append(b, "parent "...)
-		b = append(b, p...)
+		b = hex.AppendEncode(b, p[:])
 		b = append(b, '\n')
 	}
 	b = append(b, "author "...)
@@ -560,12 +506,11 @@ func (r *Repository) hashCommitLocked(c *Commit, seq int, parent Hash, keysChang
 	b = append(b, "message "...)
 	b = append(b, c.Message...)
 	b = append(b, '\n')
-	r.hashBuf = b
 
-	if parent != "" && parent == r.hashHead && !keysChanged {
-		for path, blob := range c.adds {
-			i := sort.SearchStrings(r.sortedPaths, path)
-			copy(r.blobLines[r.blobOff[i]:], blob)
+	if c.parent != nil && c.parent.Hash == r.hashHead && !keysChanged {
+		for i := range c.changes {
+			j := sort.SearchStrings(r.sortedPaths, c.changes[i].Path)
+			hex.Encode(r.blobLines[r.blobOff[j]:], c.changes[i].blob[:])
 		}
 	} else {
 		r.rebuildBlobLinesLocked(tree)
@@ -576,12 +521,10 @@ func (r *Repository) hashCommitLocked(c *Commit, seq int, parent Hash, keysChang
 	} else {
 		r.digest.Reset()
 	}
-	d := r.digest
-	d.Write(b)
-	d.Write(r.blobLines)
-	var sum [sha256.Size]byte
-	d.Sum(sum[:0])
-	return Hash(hex.EncodeToString(sum[:]))
+	r.digest.Write(b)
+	r.digest.Write(r.blobLines)
+	r.hashBuf = r.digest.Sum(b[:0])
+	return Hash(r.hashBuf)
 }
 
 // rebuildBlobLinesLocked re-renders the blob-line memo for tree from
@@ -596,9 +539,10 @@ func (r *Repository) rebuildBlobLinesLocked(tree map[string]Hash) {
 	b := r.blobLines[:0]
 	off := r.blobOff[:0]
 	for _, p := range paths {
+		blob := tree[p]
 		b = append(b, "blob "...)
 		off = append(off, len(b))
-		b = append(b, tree[p]...)
+		b = hex.AppendEncode(b, blob[:])
 		b = append(b, ' ')
 		b = append(b, p...)
 		b = append(b, '\n')
@@ -606,27 +550,14 @@ func (r *Repository) rebuildBlobLinesLocked(tree map[string]Hash) {
 	r.sortedPaths, r.blobLines, r.blobOff = paths, b, off
 }
 
-// CommitByHash resolves a commit, also accepting abbreviated hashes when
-// unambiguous.
+// CommitByHash resolves a commit by its full hash.
 func (r *Repository) CommitByHash(h Hash) (*Commit, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if c, ok := r.commits[h]; ok {
 		return c, nil
 	}
-	var match *Commit
-	for full, c := range r.commits {
-		if strings.HasPrefix(string(full), string(h)) {
-			if match != nil {
-				return nil, fmt.Errorf("%w: ambiguous prefix %s", ErrNoSuchCommit, h)
-			}
-			match = c
-		}
-	}
-	if match == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchCommit, h)
-	}
-	return match, nil
+	return nil, fmt.Errorf("%w: %s", ErrNoSuchCommit, h.Short())
 }
 
 // FileAt returns the content of path at the given commit.
@@ -650,9 +581,10 @@ func (r *Repository) FileAt(h Hash, path string) ([]byte, error) {
 // ChangedContent returns the content a change introduced (the post-change
 // blob recorded at commit time). ok is false for Deleted changes or
 // changes not produced by this repository's log. The returned slice is
-// the repository's internal buffer and must not be modified.
+// the repository's internal buffer and must not be modified; its capacity
+// is its length, so appending to it copies.
 func (r *Repository) ChangedContent(ch FileChange) ([]byte, bool) {
-	if ch.blob == "" {
+	if ch.blob == (Hash{}) {
 		return nil, false
 	}
 	r.mu.RLock()
@@ -666,11 +598,7 @@ func (r *Repository) ChangedContent(ch FileChange) ([]byte, bool) {
 func (r *Repository) Commits() []*Commit {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*Commit, len(r.order))
-	for i, h := range r.order {
-		out[i] = r.commits[h]
-	}
-	return out
+	return append([]*Commit(nil), r.order...)
 }
 
 // CommitCount returns the number of commits in the repository.

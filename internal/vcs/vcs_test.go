@@ -253,18 +253,21 @@ func TestFileVersionsTracksRenamesAndDeletes(t *testing.T) {
 	}
 }
 
-func TestCommitByHashPrefix(t *testing.T) {
+func TestCommitByHash(t *testing.T) {
 	r := NewRepository("acme/app")
 	r.StageString("a.txt", "1")
 	c := mustCommit(t, r, "one", sig(0))
-	got, err := r.CommitByHash(Hash(c.Hash.Short()))
+	got, err := r.CommitByHash(c.Hash)
 	if err != nil {
-		t.Fatalf("CommitByHash(prefix): %v", err)
+		t.Fatalf("CommitByHash: %v", err)
 	}
-	if got.Hash != c.Hash {
-		t.Errorf("prefix resolution returned %s, want %s", got.Hash.Short(), c.Hash.Short())
+	if got != c {
+		t.Errorf("CommitByHash returned %s, want %s", got.Hash.Short(), c.Hash.Short())
 	}
-	if _, err := r.CommitByHash("ffffffffffff"); !errors.Is(err, ErrNoSuchCommit) {
+	if len(c.Hash.String()) != 64 || c.Hash.Short() != c.Hash.String()[:12] {
+		t.Errorf("hex forms %q / %q", c.Hash.String(), c.Hash.Short())
+	}
+	if _, err := r.CommitByHash(Hash{0xff}); !errors.Is(err, ErrNoSuchCommit) {
 		t.Errorf("unknown hash = %v, want ErrNoSuchCommit", err)
 	}
 }
@@ -312,6 +315,69 @@ func TestStageCopiesContent(t *testing.T) {
 	again, _ := r.FileAt(c.Hash, "a.txt")
 	if string(again) != "original" {
 		t.Errorf("blob store mutated through FileAt result: %q", again)
+	}
+
+	// Blobs share arena chunks, so every slice handed out must be capped
+	// at its length: appending to one must never write into a neighbour.
+	// And the staging buffers are recycled, so re-staging through one
+	// must never reach a committed blob.
+	paths := []string{"a.txt", "b.txt", "c.txt"}
+	want := []string{"original"}
+	for _, p := range paths {
+		for i := 1; i <= 20; i++ {
+			want = append(want, fmt.Sprintf("%s v%d", p, i))
+		}
+	}
+	for i := 1; i <= 20; i++ {
+		for _, p := range paths {
+			buf = append(buf[:0], fmt.Sprintf("%s v%d", p, i)...)
+			r.Stage(p, buf)
+		}
+		mustCommit(t, r, fmt.Sprintf("c%d", i), sig(i))
+	}
+	history := func() []string {
+		var out []string
+		for _, p := range paths {
+			for _, fv := range r.FileVersions(p) {
+				out = append(out, string(fv.Content))
+			}
+		}
+		return out
+	}
+	if got := history(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("history = %q, want %q", got, want)
+	}
+	for _, p := range paths {
+		for _, fv := range r.FileVersions(p) {
+			if cap(fv.Content) != len(fv.Content) {
+				t.Fatalf("%s: FileVersions content has cap %d > len %d", p, cap(fv.Content), len(fv.Content))
+			}
+			_ = append(fv.Content, "!!!!"...)
+		}
+	}
+	for _, e := range r.Log(LogOptions{}) {
+		for _, ch := range e.Changes {
+			b, ok := r.ChangedContent(ch)
+			if !ok {
+				continue
+			}
+			if cap(b) != len(b) {
+				t.Fatalf("%s: ChangedContent has cap %d > len %d", ch.Path, cap(b), len(b))
+			}
+			_ = append(b, "????"...)
+		}
+	}
+	// Re-stage through the recycled buffers without committing, then
+	// discard the stage: no committed blob may change.
+	for _, p := range paths {
+		r.StageString(p, "scribble scribble scribble")
+	}
+	r.Remove("a.txt")
+	if err := r.Checkout("main"); err != nil {
+		t.Fatal(err)
+	}
+	if got := history(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("history after appends and re-staging = %q, want %q", got, want)
 	}
 }
 
@@ -446,7 +512,14 @@ func TestConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				_ = r.Log(LogOptions{NoMerges: true})
-				_ = r.FileVersions("schema.sql")
+				// Read the returned blobs outside the lock while the
+				// writer fills the rest of their arena chunk.
+				for _, v := range r.FileVersions("schema.sql") {
+					if len(v.Content) < 2 || v.Content[0] != 'v' {
+						t.Errorf("reader: version content %q", v.Content)
+						return
+					}
+				}
 				if head := r.Head(); head != nil {
 					if _, err := r.FileAt(head.Hash, "schema.sql"); err != nil {
 						t.Errorf("reader: %v", err)

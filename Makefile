@@ -18,11 +18,13 @@ race:
 
 # verify is the full gate: gofmt-clean sources, compile everything, vet,
 # and run the test suite under the race detector — the execution engine's
-# concurrency must stay race-clean.
+# concurrency must stay race-clean. The benchmark module (bench/) imports
+# internal APIs, so it is vetted too.
 verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
+	cd bench && $(GO) vet ./...
 
 # bench times full study runs — cold and warm cache, workers=1 vs
 # NumCPU, streaming and sharded — and writes the machine-readable report

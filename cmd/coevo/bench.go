@@ -242,12 +242,7 @@ func runBench(ctx context.Context, args []string) error {
 	// Seal the manifest before writing the report: the report embeds it, so
 	// a committed BENCH_*.json is a complete, importable baseline for the
 	// perf gate even when no -runlog-dir was given at record time.
-	if total := totalHits + totalMisses; total > 0 {
-		manifest.Cache = &runlog.CacheStats{
-			Hits: totalHits, Misses: totalMisses,
-			HitRate: float64(totalHits) / float64(total),
-		}
-	}
+	manifest.Cache = cache.Stats{Hits: totalHits, Misses: totalMisses}.Recorded()
 	manifest.PeakHeapBytes = peakHeap
 	manifest.Finish(time.Now(), nil)
 	rep.Runlog = manifest

@@ -204,6 +204,18 @@ func TestEndToEndService(t *testing.T) {
 	get("/readyz", nil) // 503 unless ready
 	get("/debug/pprof/cmdline", nil)
 
+	// A study spec has no shards field: the job service runs every study
+	// in one stream, so the field is rejected like any unknown one.
+	rejected, err := http.Post(url+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"kind":"study","study":{"seed":7,"shards":3}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected.Body.Close()
+	if rejected.StatusCode != http.StatusBadRequest {
+		t.Errorf("a study spec with shards: %s, want 400", rejected.Status)
+	}
+
 	// Alice posts a study under her traceparent; the client waits for it.
 	req, err := http.NewRequest(http.MethodPost, url+"/api/v1/jobs",
 		strings.NewReader(`{"kind":"study","study":{"seed":7,"per_taxon":2}}`))
@@ -365,6 +377,26 @@ func TestEndToEndLargeStudy(t *testing.T) {
 		if c := combined[0].Cache; pass == "warm" && (c == nil || c.RemoteHits == 0) {
 			t.Errorf("warm: combined manifest records no remote cache hits: %+v", c)
 		}
+	}
+}
+
+// TestStudyRenderFailureSealsFailedManifest runs a study too small for
+// the section 7 statistics: it fails while rendering, after the stream
+// has finished, and its ledger entry must record that failure.
+func TestStudyRenderFailureSealsFailedManifest(t *testing.T) {
+	ledger := filepath.Join(t.TempDir(), "runs")
+	var stderr bytes.Buffer
+	cmd := coevoCmd(t, "study", "-per-taxon", "1", "-runlog-dir", ledger)
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("a 6-project study should fail its statistics:\n%s", stderr.Bytes())
+	}
+	runs, err := runlog.List(ledger)
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("ledger = %v, %v; want one run\n%s", runs, err, stderr.Bytes())
+	}
+	if m := runs[0]; m.Outcome != "failed" || !strings.Contains(m.Error, "statistics") {
+		t.Errorf("manifest outcome %q, error %q; want failed on the statistics", m.Outcome, m.Error)
 	}
 }
 

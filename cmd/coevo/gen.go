@@ -14,7 +14,7 @@ import (
 // runGen generates the corpus and summarizes it per taxon. Projects are
 // visited in corpus order and each one is released after it is counted
 // (and listed), so the whole corpus is never resident.
-func runGen(ctx context.Context, args []string) error {
+func runGen(ctx context.Context, args []string) (err error) {
 	fs := newFlagSet("gen")
 	seed := fs.Int64("seed", 2023, "corpus generation seed")
 	list := fs.Bool("list", false, "list every generated project")
@@ -26,6 +26,7 @@ func runGen(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	defer func() { err = p.finish(ctx, err) }()
 
 	cfg := corpus.DefaultConfig(*seed)
 	cfg.Exec = p.exec
@@ -53,12 +54,8 @@ func runGen(ctx context.Context, args []string) error {
 
 	n, err := corpus.EachContext(ctx, cfg, visit)
 	p.recordRun(n, nil)
-	ferr := p.finish(ctx, err)
 	if err != nil {
 		return err
-	}
-	if ferr != nil {
-		return ferr
 	}
 
 	tbl := &report.Table{

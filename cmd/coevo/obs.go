@@ -266,21 +266,11 @@ func (p *pipeline) sealManifest(runErr error) error {
 	// A sharded run records the across-shard stage and cache sums up
 	// front (recordSharded); the local collector and cache saw none of
 	// that work, so they only fill fields that are still empty.
-	if p.cache != nil && m.Cache == nil {
-		m.Cache = runlog.NewCacheStats(p.cache.Stats())
+	if m.Cache == nil {
+		m.Cache = p.cache.Stats().Recorded()
 	}
 	if p.metrics != nil {
-		s := p.metrics.Snapshot()
-		m.P50Seconds = s.P50.Seconds()
-		m.P95Seconds = s.P95.Seconds()
-		m.MaxSeconds = s.Max.Seconds()
-		m.ThroughputPerSec = s.Throughput
-		if len(s.StageTotals) > 0 && m.StageSeconds == nil {
-			m.StageSeconds = make(map[string]float64, len(s.StageTotals))
-			for stage, d := range s.StageTotals {
-				m.StageSeconds[stage] = d.Seconds()
-			}
-		}
+		m.RecordEngine(p.metrics.Snapshot())
 	}
 	p.proc.Sample()
 	m.PeakHeapBytes = p.proc.Peak()
@@ -312,11 +302,12 @@ func parseLogLevel(s string) (slog.Level, error) {
 // finish flushes the run's observability artifacts — the CPU profile, the
 // unified metrics report, the trace file, the heap profile and the ledger
 // manifest — then winds down the telemetry server (after -linger, so CI
-// and humans can scrape a finished run before the process exits). It runs
-// even when the run itself failed or was interrupted, so a cancelled
-// study still leaves a loadable trace, profile and ledger entry behind.
-// The first flushing error is returned; runErr only stamps the manifest
-// outcome and is not re-returned.
+// and humans can scrape a finished run before the process exits). A
+// subcommand defers it right after building the pipeline, so it runs
+// once, after rendering, on every path: the artifacts cover the whole
+// command, and a failed or interrupted run still leaves a loadable trace,
+// profile and ledger entry behind. runErr stamps the manifest outcome and
+// is returned when set; otherwise the first flushing error is.
 func (p *pipeline) finish(ctx context.Context, runErr error) error {
 	var firstErr error
 	keep := func(err error) {
@@ -361,6 +352,9 @@ func (p *pipeline) finish(ctx context.Context, runErr error) error {
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		keep(p.server.Shutdown(sctx))
+	}
+	if runErr != nil {
+		return runErr
 	}
 	return firstErr
 }

@@ -68,15 +68,9 @@ func runServe(ctx context.Context, args []string) error {
 	red := obs.NewRED(reg, guard)
 
 	// One cache serves every job: the cross-job, cross-tenant dedup plane.
-	var c *cache.Cache
-	if *cacheDir != "" {
-		c, err = cache.New(cache.Options{Dir: *cacheDir, Obs: o})
-		if err != nil {
-			return err
-		}
-	} else {
-		c = cache.NewMemory()
-		c.RegisterMetrics(reg)
+	c, err := cache.New(cache.Options{Dir: *cacheDir, Obs: o})
+	if err != nil {
+		return err
 	}
 
 	exec := &jobs.Executor{Cache: c, Obs: o, Workers: *workers, LedgerDir: *runlogDir}

@@ -58,16 +58,9 @@ func runShardServe(ctx context.Context, args []string) error {
 	reg := o.Metrics()
 	obs.RegisterProcMetrics(reg)
 
-	var c *cache.Cache
-	var err error
-	if *cacheDir != "" {
-		c, err = cache.New(cache.Options{Dir: *cacheDir, Obs: o})
-		if err != nil {
-			return err
-		}
-	} else {
-		c = cache.NewMemory()
-		c.RegisterMetrics(reg)
+	c, err := cache.New(cache.Options{Dir: *cacheDir, Obs: o})
+	if err != nil {
+		return err
 	}
 
 	worker := &shard.Worker{Cache: c, Obs: o, Workers: *workers, LedgerDir: *runlogDir}
@@ -99,12 +92,12 @@ func runShardServe(ctx context.Context, args []string) error {
 	return srv.Shutdown(sctx)
 }
 
-// runStudySharded coordinates a scaled-out study: spawn (or address)
+// coordinateStudy runs a scaled-out study: spawn (or address)
 // one worker per shard, serve this run's cache to them as a remote
 // tier, fan the partition requests out, fold the partial figures in
 // shard order and render the combined artifacts — byte-identical to the
 // single-process run.
-func runStudySharded(ctx context.Context, p *pipeline, seed int64, perTaxon int, dialect string, shards int, addrsFlag, csvPath, outDir string) error {
+func coordinateStudy(ctx context.Context, p *pipeline, seed int64, perTaxon int, dialect string, shards int, addrsFlag, csvPath, outDir string) error {
 	// One trace spans the coordinator and every worker: each shard
 	// request carries a child traceparent, so shard manifests and access
 	// logs all join this id.
@@ -165,12 +158,8 @@ func runStudySharded(ctx context.Context, p *pipeline, seed int64, perTaxon int,
 	res, err := shard.Run(rctx, addrs, req)
 	span.End()
 	p.recordSharded(res, shards)
-	ferr := p.finish(ctx, err)
 	if err != nil {
 		return err
-	}
-	if ferr != nil {
-		return ferr
 	}
 	if err := reportFailures(res.Projects, res.Failures); err != nil {
 		return err

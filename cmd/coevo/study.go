@@ -47,7 +47,7 @@ func renderStudySections(a *report.StudyArtifacts, outDir string) error {
 // and analysis run fused in one stream, so peak memory stays O(workers)
 // projects: figures accumulate online and the CSV is written row by row,
 // so no per-project result outlives its turn through the sinks.
-func runStudy(ctx context.Context, args []string) error {
+func runStudy(ctx context.Context, args []string) (err error) {
 	fs := newFlagSet("study")
 	seed := fs.Int64("seed", 2023, "corpus generation seed")
 	csvPath := fs.String("csv", "", "write the per-project data set to this CSV file")
@@ -74,11 +74,12 @@ func runStudy(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	defer func() { err = p.finish(ctx, err) }()
 
 	if *shards > 0 {
 		fmt.Fprintf(os.Stderr, "generating and analyzing the corpus (seed %d, %s, %d shards)...\n",
 			*seed, workersLabel(p.exec.Workers), *shards)
-		return runStudySharded(ctx, p, *seed, *perTaxon, *dialect, *shards, *shardAddrs, *csvPath, *outDir)
+		return coordinateStudy(ctx, p, *seed, *perTaxon, *dialect, *shards, *shardAddrs, *csvPath, *outDir)
 	}
 
 	opts := study.DefaultOptions()
@@ -131,13 +132,9 @@ func runStudy(ctx context.Context, args []string) error {
 	sum, err := study.StreamCorpus(rctx, src, study.MultiSink(sinks...), opts)
 	span.End()
 	p.recordRun(sum.Projects, sum.Failures)
-	ferr := p.finish(ctx, err)
 	if err != nil {
 		reportInterrupted(sum.Projects, len(sum.Failures), err)
 		return err
-	}
-	if ferr != nil {
-		return ferr
 	}
 	if err := reportFailures(sum.Projects, sum.Failures); err != nil {
 		return err

@@ -13,7 +13,7 @@ import (
 // runTaxa breaks the corpus down per taxon: the measured distribution,
 // per-taxon synchronicity histograms (the "within the different taxa" view
 // of RQ1) and the change-locality summary.
-func runTaxa(ctx context.Context, args []string) error {
+func runTaxa(ctx context.Context, args []string) (err error) {
 	fs := newFlagSet("taxa")
 	seed := fs.Int64("seed", 2023, "corpus generation seed")
 	theta := fs.Float64("theta", 0.10, "synchronicity acceptance band")
@@ -30,6 +30,7 @@ func runTaxa(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	defer func() { err = p.finish(ctx, err) }()
 
 	opts := study.DefaultOptions()
 	opts.Exec = p.exec
@@ -38,13 +39,9 @@ func runTaxa(ctx context.Context, args []string) error {
 	opts.History.Dialect = dial
 	d, err := study.Run(ctx, *seed, opts)
 	p.recordRun(d.Size(), d.Failures)
-	ferr := p.finish(ctx, err)
 	if err != nil {
 		reportInterrupted(d.Size(), len(d.Failures), err)
 		return err
-	}
-	if ferr != nil {
-		return ferr
 	}
 	if err := reportFailures(d.Size(), d.Failures); err != nil {
 		return err

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"coevo/internal/cache"
 	"coevo/internal/runlog"
 	"coevo/internal/study"
 )
@@ -238,7 +239,7 @@ func ledgerPair(t *testing.T, dir string) (string, string) {
 		m.Finish(start.Add(2*time.Second), nil)
 		m.Projects = 195
 		m.P95Seconds = p95
-		m.Cache = &runlog.CacheStats{Hits: int64(1000 * hitRate), Misses: int64(1000 * (1 - hitRate)), HitRate: hitRate}
+		m.Cache = &cache.Stats{Hits: int64(1000 * hitRate), Misses: int64(1000 * (1 - hitRate))}
 		return m
 	}
 	a := mk("20260805T090000-aaaa", base, 0.050, 0.90)

@@ -242,42 +242,67 @@ func (c *Cache) Put(key Key, value []byte) {
 	}
 }
 
-// GetOrCompute returns the cached value for key, computing and storing it
-// on a miss. A compute error is returned verbatim and nothing is stored,
-// so failed computations are retried on the next call.
-func (c *Cache) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, error) {
-	if v, ok := c.Get(key); ok {
-		return v, nil
-	}
-	v, err := compute()
-	if err != nil {
-		return nil, err
-	}
-	c.Put(key, v)
-	return v, nil
-}
-
-// Stats is a point-in-time snapshot of the cache's counters.
+// Stats is a point-in-time snapshot of the cache's counters — or the
+// delta of two snapshots (Sub) and the sum of such deltas (Add). It is
+// also the "cache" object of run manifests and shard responses, under
+// the JSON names below; the remote fields are omitted while zero, so
+// purely local caches keep the shorter shape.
 type Stats struct {
-	Hits         int64 // Get calls served from any layer
-	Misses       int64 // Get calls that found nothing
-	MemoryHits   int64 // hits served by the LRU front
-	DiskHits     int64 // hits served by the disk store
-	RemoteHits   int64 // hits served by the remote tier
-	Puts         int64 // stored values
-	Corrupt      int64 // corrupt disk entries healed (deleted) on read
-	BytesRead    int64 // payload bytes read from disk
-	BytesWritten int64 // payload bytes written to disk
+	Hits         int64 `json:"hits"`                  // Get calls served from any layer
+	Misses       int64 `json:"misses"`                // Get calls that found nothing
+	MemoryHits   int64 `json:"memory_hits"`           // hits served by the LRU front
+	DiskHits     int64 `json:"disk_hits"`             // hits served by the disk store
+	RemoteHits   int64 `json:"remote_hits,omitempty"` // hits served by the remote tier
+	Puts         int64 `json:"puts"`                  // stored values
+	Corrupt      int64 `json:"corrupt"`               // corrupt disk entries healed (deleted) on read
+	BytesRead    int64 `json:"bytes_read"`            // payload bytes read from disk
+	BytesWritten int64 `json:"bytes_written"`         // payload bytes written to disk
 
 	// Per-tier fall-throughs: lookups that consulted the tier and missed
 	// (zero for a tier that is not configured, since it is never asked).
-	MemoryMisses int64
-	DiskMisses   int64
-	RemoteMisses int64
+	MemoryMisses int64 `json:"memory_misses"`
+	DiskMisses   int64 `json:"disk_misses"`
+	RemoteMisses int64 `json:"remote_misses,omitempty"`
 	// Remote-tier transfer volume (network bytes, as opposed to the disk
 	// BytesRead/BytesWritten above).
-	RemoteBytesRead    int64
-	RemoteBytesWritten int64
+	RemoteBytesRead    int64 `json:"remote_bytes_read,omitempty"`
+	RemoteBytesWritten int64 `json:"remote_bytes_written,omitempty"`
+}
+
+// Add returns the counter-wise sum s + o.
+func (s Stats) Add(o Stats) Stats { return s.combine(o, 1) }
+
+// Sub returns the counter-wise difference s − o: one run's counters
+// when s and o are snapshots of a shared cache taken after and before.
+func (s Stats) Sub(o Stats) Stats { return s.combine(o, -1) }
+
+// combine is s + sign·o, counter by counter.
+func (s Stats) combine(o Stats, sign int64) Stats {
+	return Stats{
+		Hits:               s.Hits + sign*o.Hits,
+		Misses:             s.Misses + sign*o.Misses,
+		MemoryHits:         s.MemoryHits + sign*o.MemoryHits,
+		DiskHits:           s.DiskHits + sign*o.DiskHits,
+		RemoteHits:         s.RemoteHits + sign*o.RemoteHits,
+		Puts:               s.Puts + sign*o.Puts,
+		Corrupt:            s.Corrupt + sign*o.Corrupt,
+		BytesRead:          s.BytesRead + sign*o.BytesRead,
+		BytesWritten:       s.BytesWritten + sign*o.BytesWritten,
+		MemoryMisses:       s.MemoryMisses + sign*o.MemoryMisses,
+		DiskMisses:         s.DiskMisses + sign*o.DiskMisses,
+		RemoteMisses:       s.RemoteMisses + sign*o.RemoteMisses,
+		RemoteBytesRead:    s.RemoteBytesRead + sign*o.RemoteBytesRead,
+		RemoteBytesWritten: s.RemoteBytesWritten + sign*o.RemoteBytesWritten,
+	}
+}
+
+// Recorded returns s for a run manifest or shard response: nil when the
+// cache saw no traffic at all, so an idle cache leaves no "cache" object.
+func (s Stats) Recorded() *Stats {
+	if s == (Stats{}) {
+		return nil
+	}
+	return &s
 }
 
 // HitRate returns hits/(hits+misses), or 0 when nothing was looked up.

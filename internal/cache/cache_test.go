@@ -2,9 +2,10 @@ package cache
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -16,10 +17,6 @@ func TestNilCacheIsAlwaysMissNoOp(t *testing.T) {
 		t.Error("nil cache hit")
 	}
 	c.Put(NewHasher("s").Bytes(nil).Sum(), []byte("x")) // must not panic
-	v, err := c.GetOrCompute(NewHasher("s").Bytes(nil).Sum(), func() ([]byte, error) { return []byte("y"), nil })
-	if err != nil || string(v) != "y" {
-		t.Errorf("GetOrCompute on nil cache: %q, %v", v, err)
-	}
 	if s := c.Stats(); s != (Stats{}) {
 		t.Errorf("nil stats = %+v", s)
 	}
@@ -229,31 +226,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestGetOrCompute(t *testing.T) {
-	c := NewMemory()
-	key := NewHasher("s").Bytes([]byte("k")).Sum()
-	calls := 0
-	compute := func() ([]byte, error) { calls++; return []byte("computed"), nil }
-	for i := 0; i < 3; i++ {
-		v, err := c.GetOrCompute(key, compute)
-		if err != nil || string(v) != "computed" {
-			t.Fatalf("GetOrCompute: %q, %v", v, err)
-		}
-	}
-	if calls != 1 {
-		t.Errorf("compute ran %d times", calls)
-	}
-	// Errors pass through and nothing is stored.
-	ekey := NewHasher("s").Bytes([]byte("err")).Sum()
-	wantErr := fmt.Errorf("compute failed")
-	if _, err := c.GetOrCompute(ekey, func() ([]byte, error) { return nil, wantErr }); err != wantErr {
-		t.Errorf("error not passed through: %v", err)
-	}
-	if _, ok := c.Get(ekey); ok {
-		t.Error("failed computation cached")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	c, err := New(Options{Dir: t.TempDir(), MemoryBytes: 1 << 10, MemoryEntries: 16})
 	if err != nil {
@@ -383,5 +355,40 @@ func TestStatsString(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("empty Stats.String")
+	}
+}
+
+// TestStatsArithmeticCoversEveryCounter gives every counter a distinct
+// value, so a field that Add, Sub or the JSON names leave out shows up:
+// Add must move every counter, Sub must undo it, and a JSON round trip
+// must keep every counter.
+func TestStatsArithmeticCoversEveryCounter(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	sum := a.Add(b)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", sv.Type().Field(i).Name, got, want)
+		}
+	}
+	if got := sum.Sub(b); got != a {
+		t.Errorf("a.Add(b).Sub(b) = %#v, want %#v", got, a)
+	}
+
+	raw, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Stats
+	if err := json.Unmarshal(raw, &back); err != nil || back != a {
+		t.Errorf("JSON round trip = %#v, %v; want %#v (%s)", back, err, a, raw)
+	}
+	if (Stats{}).Recorded() != nil || a.Recorded() == nil || *a.Recorded() != a {
+		t.Error("Recorded must be nil for an idle cache and a copy otherwise")
 	}
 }

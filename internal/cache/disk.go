@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"coevo/internal/atomicfile"
 )
 
 // Disk entry framing: a 4-byte magic, the big-endian payload length, the
@@ -20,9 +22,9 @@ const diskHeaderSize = 4 + 8 + sha256.Size
 
 // diskStore persists entries under root with a two-hex-character fanout:
 // root/ab/cdef... — 256 shard directories keep any single directory small
-// at corpus scale. Writes go through a temp file and an atomic rename, so
-// concurrent writers of the same key are safe (last rename wins with
-// identical content) and readers never observe a partial entry.
+// at corpus scale. Writes go through atomicfile.Write, so concurrent
+// writers of the same key are safe (last rename wins with identical
+// content) and readers never observe a partial entry.
 type diskStore struct {
 	root string
 }
@@ -62,24 +64,7 @@ func (d *diskStore) put(key Key, value []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(encodeEntry(value))
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(f.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
+	return atomicfile.Write(path, encodeEntry(value))
 }
 
 func encodeEntry(value []byte) []byte {

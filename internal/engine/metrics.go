@@ -61,6 +61,19 @@ type Snapshot struct {
 	StageTotals map[string]time.Duration
 }
 
+// StageSeconds returns StageTotals in seconds, nil when no stage was
+// timed — the shape run manifests and shard responses record.
+func (s Snapshot) StageSeconds() map[string]float64 {
+	if len(s.StageTotals) == 0 {
+		return nil
+	}
+	secs := make(map[string]float64, len(s.StageTotals))
+	for stage, d := range s.StageTotals {
+		secs[stage] = d.Seconds()
+	}
+	return secs
+}
+
 // Snapshot summarizes everything observed so far.
 func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Lock()

@@ -472,7 +472,8 @@ func SchemaHistoryFromContents(path string, versions []DatedContent, opts Option
 // both updated files and line churn (lines added + removed) per commit —
 // the "more precise unit of change" the paper's future work calls for.
 // Line counting requires content access, so it only works against a vcs
-// repository (not a textual git log).
+// repository (not a textual git log). Both sides of a change come from
+// change lists, so no commit's full tree is ever materialized.
 func ExtractProjectHistoryWithLines(repo *vcs.Repository) (*ProjectHistory, error) {
 	if repo.CommitCount() == 0 {
 		return nil, ErrEmptyRepo
@@ -485,22 +486,12 @@ func ExtractProjectHistoryWithLines(repo *vcs.Repository) (*ProjectHistory, erro
 	for _, e := range entries {
 		lines := 0
 		for _, ch := range e.Changes {
-			var oldContent, newContent []byte
-			if len(e.Commit.Parents) > 0 {
-				oldPath := ch.Path
-				if ch.Status == vcs.Renamed {
-					oldPath = ch.OldPath
-				}
-				if c, err := repo.FileAt(e.Commit.Parents[0], oldPath); err == nil {
-					oldContent = c
-				}
+			oldPath := ch.Path
+			if ch.Status == vcs.Renamed {
+				oldPath = ch.OldPath
 			}
-			if ch.Status != vcs.Deleted {
-				if c, err := repo.FileAt(e.Commit.Hash, ch.Path); err == nil {
-					newContent = c
-				}
-			}
-			lines += textdiff.Diff(oldContent, newContent).Total()
+			newContent, _ := repo.ChangedContent(ch)
+			lines += textdiff.Diff(contentBefore(repo, e.Commit, oldPath), newContent).Total()
 		}
 		p.Commits = append(p.Commits, ProjectCommit{
 			When:  e.Commit.When(),
@@ -509,6 +500,36 @@ func ExtractProjectHistoryWithLines(repo *vcs.Repository) (*ProjectHistory, erro
 		})
 	}
 	return p, nil
+}
+
+// contentBefore returns path's content in c's first parent: the blob set
+// by the nearest first-parent ancestor whose change list touches path,
+// nil when that change deletes or renames path away, or when no ancestor
+// touches it. Within one change list the last matching change wins, as
+// when vcs materializes a tree.
+func contentBefore(repo *vcs.Repository, c *vcs.Commit, path string) []byte {
+	for len(c.Parents) > 0 {
+		parent, err := repo.CommitByHash(c.Parents[0])
+		if err != nil {
+			return nil
+		}
+		changes, _ := repo.Changes(parent.Hash)
+		touched, content := false, []byte(nil)
+		for _, ch := range changes {
+			switch {
+			case ch.Path == path:
+				touched = true
+				content, _ = repo.ChangedContent(ch)
+			case ch.Status == vcs.Renamed && ch.OldPath == path:
+				touched, content = true, nil
+			}
+		}
+		if touched {
+			return content
+		}
+		c = parent
+	}
+	return nil
 }
 
 // LineEvents renders the history as line-churn events. Commits extracted

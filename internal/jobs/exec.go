@@ -22,7 +22,6 @@ import (
 	"coevo/internal/obs"
 	"coevo/internal/report"
 	"coevo/internal/runlog"
-	"coevo/internal/shard"
 	"coevo/internal/study"
 )
 
@@ -93,9 +92,6 @@ func (e *Executor) Run(ctx context.Context, j *Job, rep RunReport) (*Result, err
 // same sections `coevo study` writes.
 func (e *Executor) runStudy(ctx context.Context, j *Job, rep RunReport, metrics *engine.Metrics) (*Result, error) {
 	spec := j.Spec.Study
-	if spec.Shards > 1 {
-		return e.runStudySharded(ctx, j, rep)
-	}
 	eopts := engine.Options{Workers: e.Workers, Obs: e.Obs}
 	observers := []func(engine.Event){metrics.Observe}
 	if rep.Progress != nil {
@@ -137,49 +133,6 @@ func (e *Executor) runStudy(ctx context.Context, j *Job, rep RunReport, metrics 
 		}
 	}
 	return studyResult(j, figs, csvBuf.String(), sum.Projects, len(sum.Failures))
-}
-
-// runStudySharded executes a study spec as an in-process partition-and-
-// merge loop: each shard streams its residue class of the corpus through
-// a shard.Worker into a sealed PartialFigures, and the partials fold in
-// shard order — the same protocol a multi-process run speaks, minus the
-// network. Because every figure is an associative fold over global
-// corpus indices, the rendered sections are byte-identical to the
-// unsharded path, and the spec fingerprint treats both as one result.
-func (e *Executor) runStudySharded(ctx context.Context, j *Job, rep RunReport) (*Result, error) {
-	spec := j.Spec.Study
-	worker := &shard.Worker{Cache: e.Cache, Obs: e.Obs, Workers: e.Workers}
-
-	// The whole-corpus size, for progress reporting across shards.
-	total := corpus.NewSource(studyCorpus(spec)).Len()
-
-	resps := make([]*shard.RunResponse, spec.Shards)
-	projects := 0
-	for k := range resps {
-		resp, err := worker.Run(ctx, &shard.RunRequest{
-			Seed: spec.Seed, PerTaxon: spec.PerTaxon, Dialect: spec.Dialect,
-			Shard: k, Of: spec.Shards, CSV: spec.CSV,
-		})
-		if err != nil {
-			return nil, err
-		}
-		resps[k] = resp
-		projects += resp.Projects
-		if rep.Progress != nil {
-			rep.Progress(projects, total)
-		}
-	}
-	merged, err := shard.Merge(resps)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: %w", err)
-	}
-	var csv strings.Builder
-	if spec.CSV {
-		if err := merged.WriteCSV(&csv); err != nil {
-			return nil, err
-		}
-	}
-	return studyResult(j, merged.Figures, csv.String(), merged.Projects, len(merged.Failures))
 }
 
 // studyCorpus is a study spec's corpus: the paper's profiles, rescaled
@@ -304,7 +257,6 @@ func (e *Executor) seal(j *Job, res *Result, start time.Time, metrics *engine.Me
 		return
 	}
 	sealStart := time.Now()
-	before := e.Cache.Stats()
 	m := runlog.NewManifest("job", start)
 	m.JobID = j.ID
 	m.Tenant = j.Tenant
@@ -316,21 +268,11 @@ func (e *Executor) seal(j *Job, res *Result, start time.Time, metrics *engine.Me
 		m.Failed = res.FailedProjects
 	}
 	if metrics != nil {
-		s := metrics.Snapshot()
-		m.P50Seconds = s.P50.Seconds()
-		m.P95Seconds = s.P95.Seconds()
-		m.MaxSeconds = s.Max.Seconds()
-		m.ThroughputPerSec = s.Throughput
-		if len(s.StageTotals) > 0 {
-			m.StageSeconds = make(map[string]float64, len(s.StageTotals))
-			for stage, d := range s.StageTotals {
-				m.StageSeconds[stage] = d.Seconds()
-			}
-		}
+		m.RecordEngine(metrics.Snapshot())
 	}
 	// The cache is service-wide, so the numbers are cumulative across
 	// jobs: the manifest records the state at seal time.
-	m.Cache = runlog.NewCacheStats(before)
+	m.Cache = e.Cache.Stats().Recorded()
 	m.Finish(time.Now(), runErr)
 	if _, err := runlog.Write(e.LedgerDir, m); err != nil {
 		e.Obs.Logger().Warn("jobs: run manifest not recorded", "job", j.ID, "err", err)
@@ -366,9 +308,6 @@ func specOptions(s *Spec) map[string]string {
 		}
 		if s.Study.Dialect != "" {
 			opts["dialect"] = specDialect(s.Study.Dialect).String()
-		}
-		if s.Study.Shards > 1 {
-			opts["shards"] = fmt.Sprint(s.Study.Shards)
 		}
 	case KindIngest:
 		opts["ddl-versions"] = fmt.Sprint(len(s.Ingest.DDLVersions))

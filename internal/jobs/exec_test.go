@@ -3,6 +3,9 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -81,36 +84,48 @@ func TestExecutorStudyMatchesCLI(t *testing.T) {
 	}
 }
 
-// TestExecutorShardedStudyMatchesUnsharded runs one spec in process as
-// three shards and unsharded: the shard.Merge path must return every
-// section, dataset.csv included, byte-identical to the unsharded run.
-func TestExecutorShardedStudyMatchesUnsharded(t *testing.T) {
-	run := func(shards int) *Result {
-		t.Helper()
-		spec := execStudySpec()
-		spec.Study.Shards = shards
-		res, err := (&Executor{}).Run(context.Background(), &Job{ID: NewID(time.Now()), Tenant: "t", Spec: spec}, RunReport{})
-		if err != nil {
-			t.Fatalf("Run(shards=%d): %v", shards, err)
-		}
-		return res
+// TestStoredShardedSpecRunsUnsharded loads a job record written while
+// study specs could carry "shards", interrupted mid-run: it decodes,
+// keeps its fingerprint, and re-runs unsharded to the sections of the
+// same spec without the field, dataset.csv included.
+func TestStoredShardedSpecRunsUnsharded(t *testing.T) {
+	spec := execStudySpec()
+	want, err := (&Executor{}).Run(context.Background(), &Job{ID: NewID(time.Now()), Tenant: "t", Spec: spec}, RunReport{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	want, got := run(0), run(3)
 	if _, ok := want.Sections["dataset.csv"]; !ok {
 		t.Fatal("csv spec produced no dataset.csv section")
+	}
+
+	dir, fp := t.TempDir(), spec.Fingerprint().String()
+	record := fmt.Sprintf(`{"id":"j-stored","tenant":"t","state":"running","fingerprint":%q,`+
+		`"spec":{"kind":"study","study":{"seed":%d,"per_taxon":2,"csv":true,"shards":3}}}`, fp, execSeed)
+	if err := os.WriteFile(filepath.Join(dir, "j-stored.json"), []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q := openQueue(t, QueueOptions{Dir: dir, Exec: (&Executor{}).Run})
+	done, err := q.Wait(waitCtx(t), "j-stored")
+	if err != nil || done.State != StateDone {
+		t.Fatalf("stored job: %+v, %v; want done", done, err)
+	}
+	if got := done.Spec.Fingerprint().String(); got != fp || done.Fingerprint != fp {
+		t.Errorf("fingerprint = %s (recorded %s), want %s", got, done.Fingerprint, fp)
+	}
+	got, err := q.Result("j-stored")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got.Sections) != len(want.Sections) {
 		t.Errorf("section count = %d, want %d", len(got.Sections), len(want.Sections))
 	}
 	for name, w := range want.Sections {
-		if g, ok := got.Sections[name]; !ok {
-			t.Errorf("sharded result missing section %s", name)
-		} else if g != w {
-			t.Errorf("section %s differs between sharded and unsharded runs (%d vs %d bytes)", name, len(g), len(w))
+		if got.Sections[name] != w {
+			t.Errorf("section %s differs from the unsharded run", name)
 		}
 	}
 	if got.Projects != want.Projects || got.FailedProjects != want.FailedProjects {
-		t.Errorf("sharded projects/failed = %d/%d, want %d/%d",
+		t.Errorf("projects/failed = %d/%d, want %d/%d",
 			got.Projects, got.FailedProjects, want.Projects, want.FailedProjects)
 	}
 }

@@ -134,6 +134,7 @@ func TestHTTPMalformedSpec(t *testing.T) {
 		`{"kind":"study"}`,
 		`{"kind":"mystery","study":{"seed":1}}`,
 		`{"kind":"study","study":{"seed":1},"unknown_field":true}`,
+		`{"kind":"study","study":{"seed":7,"shards":3}}`,
 		`{"kind":"ingest","ingest":{"git_log":"x","ddl_versions":{"bad-date":""}}}`,
 		`{"kind":"ingest","ingest":{"git_log":"x","ddl_versions":{"2016-01-10.1abc":""}}}`,
 		`{"kind":"ingest","ingest":{"git_log":"x","ddl_versions":{"2016-01-10":"","2016-01-10.0":""}}}`,

@@ -9,8 +9,8 @@
 //
 //	queued → running → done | failed | canceled
 //
-// Each transition is persisted as an atomic JSON file (runlog-style
-// temp-and-rename), so a server killed mid-run re-queues its interrupted
+// Each transition is persisted as an atomic JSON file (written through
+// atomicfile), so a server killed mid-run re-queues its interrupted
 // jobs on restart and finishes them. The scheduler bounds total and
 // per-tenant concurrency, enforces per-tenant queue quotas (429 over
 // HTTP), supports per-job cancellation, and shares one content-addressed
@@ -95,21 +95,11 @@ type StudySpec struct {
 	// Dialect selects the SQL dialect adapter used to parse every DDL
 	// version ("" = generic; also mysql, postgres, sqlite, mssql, auto).
 	Dialect string `json:"dialect,omitempty"`
-	// Shards, when > 1, runs the study as an in-process partition-and-
-	// merge loop over the mergeable figure accumulators — the service
-	// counterpart of `coevo study -shards`. The result is byte-identical
-	// to an unsharded run, which is why Shards is deliberately excluded
-	// from the spec fingerprint: both shapes dedup to one cached result.
-	Shards int `json:"shards,omitempty"`
 }
 
 // maxPerTaxon bounds a single submission's corpus scale; larger studies
 // belong in sharded offline runs, not one service job.
 const maxPerTaxon = 2000
-
-// maxShards bounds a submission's shard count; each shard is a full
-// partition pass, so an absurd count is a resource-exhaustion vector.
-const maxShards = 64
 
 // IngestSpec is a real-project payload: the text of
 // `git log --name-status --no-merges --date=iso` plus the project's DDL
@@ -145,9 +135,6 @@ func (s *Spec) Validate() error {
 		}
 		if s.Study.PerTaxon < 0 || s.Study.PerTaxon > maxPerTaxon {
 			return fmt.Errorf("jobs: per_taxon %d out of range [0, %d]", s.Study.PerTaxon, maxPerTaxon)
-		}
-		if s.Study.Shards < 0 || s.Study.Shards > maxShards {
-			return fmt.Errorf("jobs: shards %d out of range [0, %d]", s.Study.Shards, maxShards)
 		}
 		if _, err := sqlddl.ParseDialect(s.Study.Dialect); err != nil {
 			return fmt.Errorf("jobs: study spec: %w", err)
@@ -202,8 +189,6 @@ func (s *Spec) Fingerprint() cache.Key {
 	h.String(s.Kind)
 	switch s.Kind {
 	case KindStudy:
-		// Shards is not folded in: a sharded study's output is
-		// byte-identical to the unsharded one, so both share one result.
 		h.Int(s.Study.Seed).Int(int64(s.Study.PerTaxon)).Bool(s.Study.CSV)
 		h.String(specDialect(s.Study.Dialect).String())
 	case KindIngest:

@@ -1,7 +1,7 @@
 package jobs
 
 // The queue's durability layer: one atomic JSON file per job (plus one
-// per result), runlog-style temp-and-rename writes, so a crashed server
+// per result), written through atomicfile.Write, so a crashed server
 // never leaves a torn record and a restarted one reconstructs the whole
 // queue from the directory.
 
@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"coevo/internal/atomicfile"
 )
 
 // Store persists jobs and results under one directory: <id>.json holds
@@ -117,29 +119,14 @@ func (s *Store) List() ([]*Job, error) {
 	return all, nil
 }
 
-// writeJSON writes v to name via a temp file and rename.
+// writeJSON writes v to name atomically.
 func (s *Store) writeJSON(name string, v any) error {
 	raw, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("jobs: marshal %s: %w", name, err)
 	}
-	raw = append(raw, '\n')
-	tmp, err := os.CreateTemp(s.dir, ".tmp-"+name+"-*")
-	if err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(filepath.Join(s.dir, name), append(raw, '\n')); err != nil {
 		return fmt.Errorf("jobs: write %s: %w", name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: close %s: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: commit %s: %w", name, err)
 	}
 	return nil
 }

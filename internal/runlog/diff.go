@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"coevo/internal/cache"
 )
 
 // Direction classifies how a metric's movement reads.
@@ -152,14 +154,14 @@ func Diff(oldRun, newRun *Manifest, opts DiffOptions) *DiffReport {
 		add("stage_seconds/"+stage, oldV, newV, HigherWorse)
 	}
 	if oldRun.Cache != nil || newRun.Cache != nil {
-		oc, nc := oldRun.Cache, newRun.Cache
-		if oc == nil {
-			oc = &CacheStats{}
+		var oc, nc cache.Stats
+		if oldRun.Cache != nil {
+			oc = *oldRun.Cache
 		}
-		if nc == nil {
-			nc = &CacheStats{}
+		if newRun.Cache != nil {
+			nc = *newRun.Cache
 		}
-		add("cache/hit_rate", oc.HitRate, nc.HitRate, HigherBetter)
+		add("cache/hit_rate", oc.HitRate(), nc.HitRate(), HigherBetter)
 		add("cache/misses", float64(oc.Misses), float64(nc.Misses), HigherWorse)
 		add("cache/corrupt", float64(oc.Corrupt), float64(nc.Corrupt), HigherWorse)
 	}
@@ -327,7 +329,7 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 	}
 	if c := m.Cache; c != nil {
 		fmt.Fprintf(w, "cache     %d hits / %d misses (%.0f%% hit rate), %d puts, %d corrupt healed\n",
-			c.Hits, c.Misses, 100*c.HitRate, c.Puts, c.Corrupt)
+			c.Hits, c.Misses, 100*c.HitRate(), c.Puts, c.Corrupt)
 	}
 	for _, f := range m.Failures {
 		fmt.Fprintf(w, "  FAIL %s: %s\n", f.Name, f.Err)

@@ -23,7 +23,9 @@ import (
 	"strings"
 	"time"
 
+	"coevo/internal/atomicfile"
 	"coevo/internal/cache"
+	"coevo/internal/engine"
 )
 
 // Manifest is one recorded run. Every field is filled best-effort: a
@@ -82,8 +84,8 @@ type Manifest struct {
 
 	// StageSeconds sums wall time per named pipeline stage across tasks.
 	StageSeconds map[string]float64 `json:"stage_seconds,omitempty"`
-	// Cache carries the result-cache counters when a cache was attached.
-	Cache *CacheStats `json:"cache,omitempty"`
+	// Cache carries the result-cache counters when a cache saw traffic.
+	Cache *cache.Stats `json:"cache,omitempty"`
 	// Metrics is the final metrics-registry snapshot (series → value).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Failures lists the projects the run could not measure.
@@ -106,43 +108,6 @@ type ShardRun struct {
 	TraceID    string `json:"trace_id,omitempty"`
 	Projects   int    `json:"projects"`
 	Failed     int    `json:"failed,omitempty"`
-}
-
-// CacheStats mirrors the result cache's counter snapshot, plus the
-// derived hit rate the regression detector compares. The remote fields
-// cover the optional remote tier of a sharded run; they stay zero (and
-// absent from the JSON) for purely local caches.
-type CacheStats struct {
-	Hits               int64   `json:"hits"`
-	Misses             int64   `json:"misses"`
-	MemoryHits         int64   `json:"memory_hits"`
-	DiskHits           int64   `json:"disk_hits"`
-	RemoteHits         int64   `json:"remote_hits,omitempty"`
-	RemoteMisses       int64   `json:"remote_misses,omitempty"`
-	Puts               int64   `json:"puts"`
-	Corrupt            int64   `json:"corrupt"`
-	BytesRead          int64   `json:"bytes_read"`
-	BytesWritten       int64   `json:"bytes_written"`
-	RemoteBytesRead    int64   `json:"remote_bytes_read,omitempty"`
-	RemoteBytesWritten int64   `json:"remote_bytes_written,omitempty"`
-	HitRate            float64 `json:"hit_rate"`
-}
-
-// NewCacheStats converts a cache counter snapshot — or a per-run delta
-// of two snapshots — to the manifest shape, nil when the cache saw no
-// traffic at all.
-func NewCacheStats(s cache.Stats) *CacheStats {
-	if s == (cache.Stats{}) {
-		return nil
-	}
-	return &CacheStats{
-		Hits: s.Hits, Misses: s.Misses, MemoryHits: s.MemoryHits,
-		DiskHits: s.DiskHits, RemoteHits: s.RemoteHits,
-		RemoteMisses: s.RemoteMisses, Puts: s.Puts, Corrupt: s.Corrupt,
-		BytesRead: s.BytesRead, BytesWritten: s.BytesWritten,
-		RemoteBytesRead: s.RemoteBytesRead, RemoteBytesWritten: s.RemoteBytesWritten,
-		HitRate: s.HitRate(),
-	}
 }
 
 // FailureSummary is one unmeasurable project.
@@ -210,6 +175,19 @@ func (m *Manifest) Finish(end time.Time, runErr error) {
 	}
 }
 
+// RecordEngine fills the latency summary from an engine metrics
+// snapshot, and the per-stage totals unless they are already set (a
+// sharded run records its across-shard sums first).
+func (m *Manifest) RecordEngine(s engine.Snapshot) {
+	m.P50Seconds = s.P50.Seconds()
+	m.P95Seconds = s.P95.Seconds()
+	m.MaxSeconds = s.Max.Seconds()
+	m.ThroughputPerSec = s.Throughput
+	if m.StageSeconds == nil {
+		m.StageSeconds = s.StageSeconds()
+	}
+}
+
 // isCancellation reports whether err stems from context cancellation —
 // matched by message so runlog does not import context semantics it
 // cannot see through wrapping anyway.
@@ -235,10 +213,9 @@ func cpuModel() string {
 	return ""
 }
 
-// Write persists the manifest atomically into dir (created if missing):
-// the JSON is written to a temp file and renamed into place, so a
-// crashed or interrupted writer never leaves a torn ledger entry. It
-// returns the manifest's path.
+// Write persists the manifest atomically into dir (created if missing)
+// through atomicfile.Write, so a crashed or interrupted writer never
+// leaves a torn ledger entry. It returns the manifest's path.
 func Write(dir string, m *Manifest) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("runlog: %w", err)
@@ -247,24 +224,9 @@ func Write(dir string, m *Manifest) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("runlog: marshal %s: %w", m.ID, err)
 	}
-	raw = append(raw, '\n')
 	path := filepath.Join(dir, m.ID+".json")
-	tmp, err := os.CreateTemp(dir, ".tmp-"+m.ID+"-*")
-	if err != nil {
-		return "", fmt.Errorf("runlog: %w", err)
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(path, append(raw, '\n')); err != nil {
 		return "", fmt.Errorf("runlog: write %s: %w", m.ID, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("runlog: close %s: %w", m.ID, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("runlog: commit %s: %w", m.ID, err)
 	}
 	return path, nil
 }

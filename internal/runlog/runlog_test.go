@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"coevo/internal/cache"
 	"coevo/internal/obs"
 )
 
@@ -24,7 +25,7 @@ func mkManifest(id, command string, start time.Time) *Manifest {
 	m.MaxSeconds = 0.080
 	m.ThroughputPerSec = 97.5
 	m.StageSeconds = map[string]float64{"extract": 1.2, "measure": 0.6}
-	m.Cache = &CacheStats{Hits: 900, Misses: 100, HitRate: 0.9}
+	m.Cache = &cache.Stats{Hits: 900, Misses: 100}
 	m.Metrics = map[string]float64{
 		`coevo_engine_tasks_total{run="analyze"}`:                   195,
 		`coevo_engine_task_seconds_sum{run="analyze"}`:              1.8,
@@ -147,7 +148,7 @@ func TestDiffFlagsInjectedRegressions(t *testing.T) {
 	// cache hit rate collapses, and two projects start failing.
 	newRun.P95Seconds = 0.100
 	newRun.StageSeconds["extract"] = 1.8
-	newRun.Cache = &CacheStats{Hits: 500, Misses: 500, HitRate: 0.5}
+	newRun.Cache = &cache.Stats{Hits: 500, Misses: 500}
 	newRun.Failed = 2
 	// And one improvement that must NOT be flagged.
 	newRun.ThroughputPerSec = 120

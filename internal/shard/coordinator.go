@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 
+	"coevo/internal/cache"
 	"coevo/internal/obs"
 	"coevo/internal/runlog"
 	"coevo/internal/study"
@@ -43,7 +44,7 @@ type Result struct {
 	// Shards records each worker's contribution for the combined
 	// manifest; Cache and StageSeconds are the across-shard sums.
 	Shards       []runlog.ShardRun
-	Cache        *runlog.CacheStats
+	Cache        *cache.Stats
 	StageSeconds map[string]float64
 	// TraceID is the trace every shard request carried.
 	TraceID string
@@ -144,6 +145,7 @@ func Run(ctx context.Context, addrs []string, req RunRequest) (*Result, error) {
 // the trace id are the caller's to fill in.
 func Merge(resps []*RunResponse) (*Result, error) {
 	res := &Result{Figures: study.NewFigures()}
+	var cacheSum cache.Stats
 	for i, r := range resps {
 		part, err := study.DecodePartialFigures(r.Figures)
 		if err != nil {
@@ -162,7 +164,7 @@ func Merge(resps []*RunResponse) (*Result, error) {
 			TraceID: r.TraceID, Projects: r.Projects, Failed: len(r.Failures),
 		})
 		if r.Cache != nil {
-			res.Cache = sumCacheStats(res.Cache, r.Cache)
+			cacheSum = cacheSum.Add(*r.Cache)
 		}
 		if len(r.StageSeconds) > 0 {
 			if res.StageSeconds == nil {
@@ -173,35 +175,12 @@ func Merge(resps []*RunResponse) (*Result, error) {
 			}
 		}
 	}
+	res.Cache = cacheSum.Recorded()
 	// Disjoint partitions mean distinct indices, so index order is total
 	// and the sorts reproduce the sequential report exactly.
 	sort.Slice(res.Failures, func(a, b int) bool { return res.Failures[a].Index < res.Failures[b].Index })
 	sort.Slice(res.CSVRows, func(a, b int) bool { return res.CSVRows[a].Index < res.CSVRows[b].Index })
 	return res, nil
-}
-
-// sumCacheStats folds one shard's cache delta into the running total,
-// recomputing the derived hit rate over the sums.
-func sumCacheStats(total, d *runlog.CacheStats) *runlog.CacheStats {
-	if total == nil {
-		total = &runlog.CacheStats{}
-	}
-	total.Hits += d.Hits
-	total.Misses += d.Misses
-	total.MemoryHits += d.MemoryHits
-	total.DiskHits += d.DiskHits
-	total.RemoteHits += d.RemoteHits
-	total.RemoteMisses += d.RemoteMisses
-	total.Puts += d.Puts
-	total.Corrupt += d.Corrupt
-	total.BytesRead += d.BytesRead
-	total.BytesWritten += d.BytesWritten
-	total.RemoteBytesRead += d.RemoteBytesRead
-	total.RemoteBytesWritten += d.RemoteBytesWritten
-	if n := total.Hits + total.Misses; n > 0 {
-		total.HitRate = float64(total.Hits) / float64(n)
-	}
-	return total
 }
 
 // post sends one shard's run request and decodes the response. addr may

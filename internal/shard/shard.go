@@ -95,7 +95,7 @@ type RunResponse struct {
 	TraceID    string `json:"trace_id,omitempty"`
 	// Cache is this run's cache-counter delta (not the worker's lifetime
 	// totals), so the coordinator can sum whole-study cache behaviour.
-	Cache        *runlog.CacheStats `json:"cache,omitempty"`
+	Cache        *cache.Stats       `json:"cache,omitempty"`
 	StageSeconds map[string]float64 `json:"stage_seconds,omitempty"`
 }
 
@@ -218,21 +218,18 @@ func (w *Worker) Run(ctx context.Context, req *RunRequest) (*RunResponse, error)
 	}
 
 	sum, runErr := study.StreamCorpus(ctx, part, study.MultiSink(sinks...), opts)
-	delta := statsDelta(before, c.Stats())
-	resp := &RunResponse{Shard: req.Shard, TraceID: obs.TraceIDFrom(ctx)}
+	resp := &RunResponse{
+		Shard:        req.Shard,
+		TraceID:      obs.TraceIDFrom(ctx),
+		Cache:        c.Stats().Sub(before).Recorded(),
+		StageSeconds: metrics.Snapshot().StageSeconds(),
+	}
 	if sum != nil {
 		resp.Projects = sum.Projects
 		for _, f := range sum.Failures {
 			resp.Failures = append(resp.Failures, FailureInfo{Index: f.Index, Name: f.Name, Err: f.Err.Error()})
 		}
 	}
-	if s := metrics.Snapshot(); len(s.StageTotals) > 0 {
-		resp.StageSeconds = make(map[string]float64, len(s.StageTotals))
-		for stage, d := range s.StageTotals {
-			resp.StageSeconds[stage] = d.Seconds()
-		}
-	}
-	resp.Cache = runlog.NewCacheStats(delta)
 	resp.ManifestID = w.seal(req, resp, start, runErr)
 	if runErr != nil {
 		return nil, runErr
@@ -279,27 +276,6 @@ func (w *Worker) seal(req *RunRequest, resp *RunResponse, start time.Time, runEr
 		return ""
 	}
 	return m.ID
-}
-
-// statsDelta subtracts two cache snapshots, isolating one run's counters
-// from a worker cache shared across runs.
-func statsDelta(before, after cache.Stats) cache.Stats {
-	return cache.Stats{
-		Hits:               after.Hits - before.Hits,
-		Misses:             after.Misses - before.Misses,
-		MemoryHits:         after.MemoryHits - before.MemoryHits,
-		DiskHits:           after.DiskHits - before.DiskHits,
-		RemoteHits:         after.RemoteHits - before.RemoteHits,
-		Puts:               after.Puts - before.Puts,
-		Corrupt:            after.Corrupt - before.Corrupt,
-		BytesRead:          after.BytesRead - before.BytesRead,
-		BytesWritten:       after.BytesWritten - before.BytesWritten,
-		MemoryMisses:       after.MemoryMisses - before.MemoryMisses,
-		DiskMisses:         after.DiskMisses - before.DiskMisses,
-		RemoteMisses:       after.RemoteMisses - before.RemoteMisses,
-		RemoteBytesRead:    after.RemoteBytesRead - before.RemoteBytesRead,
-		RemoteBytesWritten: after.RemoteBytesWritten - before.RemoteBytesWritten,
-	}
 }
 
 // csvRows captures the per-project CSV export one tagged row at a time.

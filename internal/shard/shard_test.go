@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"coevo/internal/cache"
 	"coevo/internal/obs"
 	"coevo/internal/study"
 )
@@ -30,7 +33,12 @@ func traceMiddleware(next http.Handler) http.Handler {
 // still on the legacy /shard/run alias fails.
 func newWorkerServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	w := &Worker{}
+	return serveWorker(t, &Worker{})
+}
+
+// serveWorker mounts w the way newWorkerServer mounts a fresh worker.
+func serveWorker(t *testing.T, w *Worker) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.Handle(obs.APIPrefix+"/shard/run", traceMiddleware(w.Handler()))
 	srv := httptest.NewServer(mux)
@@ -91,6 +99,57 @@ func TestShardedRunMatchesSingleShard(t *testing.T) {
 		}
 		if sr.TraceID != res.TraceID {
 			t.Errorf("shard %d trace id %q, want %q", i, sr.TraceID, res.TraceID)
+		}
+	}
+}
+
+// TestMergedCacheCountsEveryCounter runs three workers whose memory and
+// disk caches already served one study: the merged Result.Cache, and its
+// JSON, must be the sum of the workers' deltas for the second study —
+// every counter, the per-tier misses included.
+func TestMergedCacheCountsEveryCounter(t *testing.T) {
+	ctx := context.Background()
+	caches := make([]*cache.Cache, 3)
+	addrs := make([]string, len(caches))
+	for i := range caches {
+		c, err := cache.New(cache.Options{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[i] = c
+		addrs[i] = serveWorker(t, &Worker{Cache: c}).URL
+	}
+	total := func() (s cache.Stats) {
+		for _, c := range caches {
+			s = s.Add(c.Stats())
+		}
+		return s
+	}
+	if _, err := Run(ctx, addrs, RunRequest{Seed: 11, PerTaxon: 1}); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	before := total()
+	res, err := Run(ctx, addrs, RunRequest{Seed: 12, PerTaxon: 1})
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	want := total().Sub(before)
+	if want.MemoryMisses == 0 || want.DiskMisses == 0 {
+		t.Fatalf("the second run missed no tier: %#v", want)
+	}
+	if res.Cache == nil || *res.Cache != want {
+		t.Fatalf("merged cache = %#v, want the summed worker deltas %#v", res.Cache, want)
+	}
+	raw, err := json.Marshal(res.Cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{
+		fmt.Sprintf(`"memory_misses":%d`, want.MemoryMisses),
+		fmt.Sprintf(`"disk_misses":%d`, want.DiskMisses),
+	} {
+		if !strings.Contains(string(raw), field) {
+			t.Errorf("merged cache JSON lacks %s: %s", field, raw)
 		}
 	}
 }

@@ -48,19 +48,58 @@ func TestLineChurnAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One call on a fresh repository, like testing.AllocsPerRun but
-	// without its warm-up call, which would leave memoized state behind.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = history.ExtractProjectHistoryWithLines(p.Repo)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := after.Mallocs - before.Mallocs; n > lineChurnBudget {
+	n := mallocs(t, func() error {
+		_, err := history.ExtractProjectHistoryWithLines(p.Repo)
+		return err
+	})
+	if n > lineChurnBudget {
 		t.Errorf("line churn of %s allocates %d, budget %d", p.Name, n, lineChurnBudget)
 	} else {
 		t.Logf("line churn of %s: %d allocs", p.Name, n)
 	}
+}
+
+// schemaHistoryBudget caps the allocations of one schema-history
+// extraction (history.ExtractSchemaHistoryFromVersions) of project 192 of
+// the seed-2023 corpus, an ACTIVE history whose DDL file has 70 versions.
+// One schema.Builder serves every version, so only the CREATE TABLE
+// statements a version changed are built; building every version from
+// an empty schema took 39,167.
+const schemaHistoryBudget = 20000 // measured 14,837
+
+func TestSchemaHistoryAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting is distorted under the race detector")
+	}
+	cfg := DefaultConfig(2023)
+	p, err := generateFresh(cfg, cfg.Profiles[len(cfg.Profiles)-1], 192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fvs := p.Repo.FileVersions(p.DDLPath)
+	n := mallocs(t, func() error {
+		_, err := history.ExtractSchemaHistoryFromVersions(p.DDLPath, fvs, history.DefaultOptions())
+		return err
+	})
+	if n > schemaHistoryBudget {
+		t.Errorf("schema history of %s (%d versions) allocates %d, budget %d", p.Name, len(fvs), n, schemaHistoryBudget)
+	} else {
+		t.Logf("schema history of %s (%d versions): %d allocs", p.Name, len(fvs), n)
+	}
+}
+
+// mallocs counts the heap allocations of one call of f at GOMAXPROCS 1,
+// like testing.AllocsPerRun but without its warm-up call, which would
+// leave memoized state behind.
+func mallocs(t *testing.T, f func() error) uint64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := f()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
 }

@@ -55,7 +55,10 @@ type SchemaVersion struct {
 	// Raw is the file content at the commit (nil when Deleted).
 	Raw []byte
 	// Schema is the logical schema reconstructed from Raw (an empty schema
-	// for a deleted or unparseable file).
+	// for a deleted or unparseable file). The versions of one history
+	// share every table whose CREATE TABLE statement they have in common:
+	// change a schema only through Apply, which copies a shared table
+	// first, or change a Clone.
 	Schema *schema.Schema
 	// Report is the structured parse outcome: resolved dialect, statement
 	// accounting and coded diagnostics. Zero for deleted versions.
@@ -153,12 +156,15 @@ func ExtractSchemaHistory(repo *vcs.Repository, path string, opts Options) (*Sch
 // ExtractSchemaHistoryFromVersions builds the schema history from already
 // listed file versions — the entry point for callers that walk the file
 // history themselves (the study's cached pipeline lists versions once to
-// address its result bundle, then extracts only on a cache miss).
+// address its result bundle, then extracts only on a cache miss). Every
+// version is parsed, but one schema.Builder serves them all, so only the
+// CREATE TABLE statements a version changed are built again.
 func ExtractSchemaHistoryFromVersions(path string, fileVersions []vcs.FileVersion, opts Options) (*SchemaHistory, error) {
 	if len(fileVersions) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoDDLFile, path)
 	}
 	h := &SchemaHistory{Path: path, opts: opts}
+	var b schema.Builder
 	schemas := make([]*schema.Schema, 0, len(fileVersions)+1)
 	schemas = append(schemas, schema.New()) // the pre-birth empty schema
 	anyCreate := false
@@ -173,7 +179,7 @@ func ExtractSchemaHistoryFromVersions(path string, fileVersions []vcs.FileVersio
 				h.NoOpCommits++
 			}
 			prevRaw, havePrev = fv.Content, true
-			s, rep := schema.ParseAndBuildDialect(string(fv.Content), opts.Dialect)
+			s, rep := b.ParseAndBuild(string(fv.Content), opts.Dialect)
 			sv.Schema = s
 			sv.Report = rep
 			if s.TableCount() > 0 {

@@ -29,20 +29,23 @@ type Attribute struct {
 }
 
 // Table is one relation: an ordered attribute list plus its primary key.
+//
+// The schemas a Builder reconstructs share every table whose CREATE TABLE
+// statement they have in common, so a table reached through a schema is
+// read-only: change a schema only through Apply, which copies a shared
+// table before its first change, or change a Clone.
 type Table struct {
 	Name       string
 	attrs      []*Attribute
 	attrIndex  map[string]int
 	primaryKey []string // attribute keys (lower-cased names)
+	// shared marks a table a Builder hands to every version that repeats
+	// its CREATE TABLE statement; it is never changed in place.
+	shared bool
 }
 
-// NewTable creates an empty table.
-func NewTable(name string) *Table {
-	return &Table{Name: name, attrIndex: make(map[string]int)}
-}
-
-// Attributes returns the attributes in definition order. The slice must
-// not be mutated.
+// Attributes returns the attributes in definition order. Neither the
+// slice nor the attributes may be mutated.
 func (t *Table) Attributes() []*Attribute { return t.attrs }
 
 // Attribute looks an attribute up by case-insensitive name.
@@ -128,16 +131,21 @@ func (t *Table) renameAttribute(oldName, newName string) bool {
 	return true
 }
 
-// clone returns a deep copy of the table.
+// clone returns a private deep copy of the table, its attributes in one
+// block.
 func (t *Table) clone() *Table {
-	nt := NewTable(t.Name)
-	nt.attrs = make([]*Attribute, len(t.attrs))
+	block := make([]Attribute, len(t.attrs))
+	nt := &Table{
+		Name:       t.Name,
+		attrs:      make([]*Attribute, len(t.attrs)),
+		attrIndex:  make(map[string]int, len(t.attrs)),
+		primaryKey: append([]string(nil), t.primaryKey...),
+	}
 	for i, a := range t.attrs {
-		cp := *a
-		nt.attrs[i] = &cp
+		block[i] = *a
+		nt.attrs[i] = &block[i]
 		nt.attrIndex[foldName(a.Name)] = i
 	}
-	nt.primaryKey = append([]string(nil), t.primaryKey...)
 	return nt
 }
 
@@ -224,17 +232,24 @@ func (s *Schema) renameTable(oldName, newName string) bool {
 	if !ok {
 		return false
 	}
-	if oldKey == newKey {
-		s.tables[i].Name = newName
-		return true
+	if oldKey != newKey {
+		if _, exists := s.tableIndex[newKey]; exists {
+			return false
+		}
+		delete(s.tableIndex, oldKey)
+		s.tableIndex[newKey] = i
 	}
-	if _, exists := s.tableIndex[newKey]; exists {
-		return false
-	}
-	delete(s.tableIndex, oldKey)
-	s.tableIndex[newKey] = i
-	s.tables[i].Name = newName
+	s.own(i).Name = newName
 	return true
+}
+
+// own returns table i ready for change, first replacing a shared table
+// with a private copy.
+func (s *Schema) own(i int) *Table {
+	if s.tables[i].shared {
+		s.tables[i] = s.tables[i].clone()
+	}
+	return s.tables[i]
 }
 
 // SortedTableNames returns the lower-cased table names in lexical order,
@@ -328,11 +343,16 @@ var (
 // Apply mutates the schema by one parsed statement, returning diagnostics
 // for effects that could not be applied (e.g. ALTER of a missing table —
 // common in real histories where the DDL file is rewritten wholesale).
-// Statements outside the DDL subset are ignored.
-func (s *Schema) Apply(stmt sqlddl.Statement) []error {
+// Statements outside the DDL subset are ignored. A table the schema
+// shares with another version is copied before Apply changes it.
+func (s *Schema) Apply(stmt sqlddl.Statement) []error { return s.apply(stmt, nil) }
+
+// apply is Apply with the Builder, nil for none, whose memo serves the
+// tables CREATE TABLE statements declare.
+func (s *Schema) apply(stmt sqlddl.Statement, b *Builder) []error {
 	switch st := stmt.(type) {
 	case *sqlddl.CreateTable:
-		return s.applyCreate(st)
+		return s.applyCreate(st, b)
 	case *sqlddl.DropTable:
 		return s.applyDrop(st)
 	case *sqlddl.RenameTable:
@@ -344,7 +364,7 @@ func (s *Schema) Apply(stmt sqlddl.Statement) []error {
 	}
 }
 
-func (s *Schema) applyCreate(ct *sqlddl.CreateTable) []error {
+func (s *Schema) applyCreate(ct *sqlddl.CreateTable, b *Builder) []error {
 	if ct.Temporary {
 		return nil // temporary tables are not part of the logical schema
 	}
@@ -357,13 +377,30 @@ func (s *Schema) applyCreate(ct *sqlddl.CreateTable) []error {
 		// would be restored into a database after a DROP.
 		s.dropTable(ct.Name.Name)
 	}
-	t := NewTable(ct.Name.Name)
+	var t *Table
+	var errs []error
+	if b != nil {
+		t, errs = b.table(ct, s.dialect)
+	} else {
+		t, errs = buildTable(ct, s.dialect)
+	}
+	s.addTable(t)
+	return errs
+}
+
+// buildTable builds the table a CREATE TABLE statement declares, with
+// the apply errors of its column list. Both depend only on the
+// statement's text and the dialect, never on the schema it joins.
+func buildTable(ct *sqlddl.CreateTable, d sqlddl.Dialect) (*Table, []error) {
+	n := len(ct.Columns)
+	t := &Table{Name: ct.Name.Name, attrs: make([]*Attribute, 0, n), attrIndex: make(map[string]int, n)}
+	block := make([]Attribute, n)
 	var errs []error
 	var pk []string
 	for i := range ct.Columns {
 		col := &ct.Columns[i]
-		attr := attributeFromDef(col, s.dialect)
-		if !t.addAttribute(attr) {
+		block[i] = attributeFromDef(col, d)
+		if !t.addAttribute(&block[i]) {
 			errs = append(errs, fmt.Errorf("%w: %s.%s", ErrColumnExists, ct.Name.Name, col.Name))
 			continue
 		}
@@ -380,22 +417,17 @@ func (s *Schema) applyCreate(ct *sqlddl.CreateTable) []error {
 		}
 	}
 	t.primaryKey = pk
-	s.addTable(t)
-	return errs
+	return t, errs
 }
 
-func attributeFromDef(col *sqlddl.ColumnDef, d sqlddl.Dialect) *Attribute {
-	attr := &Attribute{
+func attributeFromDef(col *sqlddl.ColumnDef, d sqlddl.Dialect) Attribute {
+	return Attribute{
 		Name:          col.Name,
 		Type:          NormalizeTypeForDialect(col.Type, d),
 		NotNull:       col.NotNull,
 		HasDefault:    col.HasDefault,
-		AutoIncrement: col.AutoIncrement,
+		AutoIncrement: col.AutoIncrement || serialTypes[col.Type.Name],
 	}
-	if serialTypes[col.Type.Name] {
-		attr.AutoIncrement = true
-	}
-	return attr
 }
 
 func (s *Schema) applyDrop(dt *sqlddl.DropTable) []error {
@@ -418,8 +450,12 @@ func (s *Schema) applyRename(rt *sqlddl.RenameTable) []error {
 	return errs
 }
 
+// applyAlter applies the actions in order to one table, which keeps its
+// index i throughout. Each action reads the table from s.tables afresh,
+// since an action that changes it goes through own (or renameTable),
+// which may have replaced a shared table with a copy.
 func (s *Schema) applyAlter(at *sqlddl.AlterTable) []error {
-	t, ok := s.Table(at.Name.Name)
+	i, ok := s.tableIndex[foldName(at.Name.Name)]
 	if !ok {
 		if at.IfExists {
 			return nil
@@ -428,10 +464,12 @@ func (s *Schema) applyAlter(at *sqlddl.AlterTable) []error {
 	}
 	var errs []error
 	for _, action := range at.Actions {
+		t := s.tables[i]
 		switch a := action.(type) {
 		case sqlddl.AddColumn:
+			t = s.own(i)
 			attr := attributeFromDef(&a.Column, s.dialect)
-			if !t.addAttribute(attr) {
+			if !t.addAttribute(&attr) {
 				if !a.IfNotExists {
 					errs = append(errs, fmt.Errorf("%w: %s.%s", ErrColumnExists, t.Name, a.Column.Name))
 				}
@@ -441,17 +479,18 @@ func (s *Schema) applyAlter(at *sqlddl.AlterTable) []error {
 				t.primaryKey = append(t.primaryKey, foldName(a.Column.Name))
 			}
 		case sqlddl.DropColumn:
-			if !t.dropAttribute(a.Name) && !a.IfExists {
+			if !s.own(i).dropAttribute(a.Name) && !a.IfExists {
 				errs = append(errs, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, a.Name))
 			}
 		case sqlddl.ModifyColumn:
-			attr, ok := t.Attribute(a.Column.Name)
+			attr, ok := s.own(i).Attribute(a.Column.Name)
 			if !ok {
 				errs = append(errs, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, a.Column.Name))
 				continue
 			}
-			*attr = *attributeFromDef(&a.Column, s.dialect)
+			*attr = attributeFromDef(&a.Column, s.dialect)
 		case sqlddl.ChangeColumn:
+			t = s.own(i)
 			attr, ok := t.Attribute(a.OldName)
 			if !ok {
 				errs = append(errs, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, a.OldName))
@@ -463,28 +502,28 @@ func (s *Schema) applyAlter(at *sqlddl.AlterTable) []error {
 				continue
 			}
 			name := attr.Name
-			*attr = *newDef
+			*attr = newDef
 			attr.Name = name
 		case sqlddl.RenameColumn:
-			if !t.renameAttribute(a.OldName, a.NewName) {
+			if !s.own(i).renameAttribute(a.OldName, a.NewName) {
 				errs = append(errs, fmt.Errorf("%w: %s.%s -> %s", ErrNoSuchColumn, t.Name, a.OldName, a.NewName))
 			}
 		case sqlddl.AlterColumnType:
-			attr, ok := t.Attribute(a.Name)
+			attr, ok := s.own(i).Attribute(a.Name)
 			if !ok {
 				errs = append(errs, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, a.Name))
 				continue
 			}
 			attr.Type = NormalizeTypeForDialect(a.Type, s.dialect)
 		case sqlddl.AlterColumnNullability:
-			attr, ok := t.Attribute(a.Name)
+			attr, ok := s.own(i).Attribute(a.Name)
 			if !ok {
 				errs = append(errs, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, a.Name))
 				continue
 			}
 			attr.NotNull = a.NotNull
 		case sqlddl.AlterColumnDefault:
-			attr, ok := t.Attribute(a.Name)
+			attr, ok := s.own(i).Attribute(a.Name)
 			if !ok {
 				errs = append(errs, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, a.Name))
 				continue
@@ -496,11 +535,11 @@ func (s *Schema) applyAlter(at *sqlddl.AlterTable) []error {
 				for _, c := range a.Constraint.Columns {
 					pk = append(pk, foldName(c))
 				}
-				t.primaryKey = pk
+				s.own(i).primaryKey = pk
 			}
 		case sqlddl.DropConstraint:
 			if a.Kind == sqlddl.ConstraintPrimaryKey {
-				t.primaryKey = nil
+				s.own(i).primaryKey = nil
 			}
 		case sqlddl.RenameTo:
 			if !s.renameTable(t.Name, a.NewName.Name) {

@@ -313,7 +313,6 @@ func TestQuickDropConsistency(t *testing.T) {
 	f := func(drops []uint8) bool {
 		src := "CREATE TABLE t (c0 INT, c1 INT, c2 INT, c3 INT, c4 INT, c5 INT, c6 INT, c7 INT);"
 		s := build(t, src)
-		tab, _ := s.Table("t")
 		alive := map[string]bool{}
 		for i := 0; i < 8; i++ {
 			alive[fmt.Sprintf("c%d", i)] = true
@@ -323,6 +322,9 @@ func TestQuickDropConsistency(t *testing.T) {
 			s.Apply(parseStatements(t, "ALTER TABLE t DROP COLUMN "+name+";")[0])
 			delete(alive, name)
 		}
+		// Apply copies a built table before changing it, so look the
+		// table up after the drops.
+		tab, _ := s.Table("t")
 		if len(tab.Attributes()) != len(alive) {
 			return false
 		}

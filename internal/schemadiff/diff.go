@@ -145,6 +145,9 @@ func Compare(old, new *schema.Schema) *Delta {
 			}
 			continue
 		}
+		if ot == nt {
+			continue // one table shared by both versions (schema.Builder)
+		}
 		compareTables(d, ot, nt)
 	}
 	for _, ot := range old.Tables() {

@@ -2,7 +2,8 @@
 // tests. The same generator drives the schemadiff property suite and the
 // cache codec round-trip tests, so both explore the same shape space:
 // 0–6 tables, 1–8 typed attributes each, optional column flags and
-// single- or multi-column primary keys.
+// single- or multi-column primary keys. Dump renders a schema for tests
+// that compare schemas built two different ways.
 //
 // Generation goes through DDL text and the real parser (RandomSchema is
 // ParseAndBuildDialect of RandomDDL), so every generated schema is one the
@@ -83,4 +84,18 @@ func RandomSchema(rng *rand.Rand) *schema.Schema {
 		panic(fmt.Sprintf("schematest: generated DDL rejected: %+v\n%s", rep, src))
 	}
 	return s
+}
+
+// Dump renders s table by table, in order: the table's name and primary
+// key, then all five fields of each attribute in definition order. Two
+// schemas with equal dumps are the same logical schema.
+func Dump(s *schema.Schema) string {
+	var b strings.Builder
+	for _, t := range s.Tables() {
+		fmt.Fprintf(&b, "%s pk=%q\n", t.Name, t.PrimaryKey())
+		for _, a := range t.Attributes() {
+			fmt.Fprintf(&b, "  %+v\n", *a)
+		}
+	}
+	return b.String()
 }

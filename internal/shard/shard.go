@@ -218,11 +218,12 @@ func (w *Worker) Run(ctx context.Context, req *RunRequest) (*RunResponse, error)
 	}
 
 	sum, runErr := study.StreamCorpus(ctx, part, study.MultiSink(sinks...), opts)
+	snap := metrics.Snapshot()
 	resp := &RunResponse{
 		Shard:        req.Shard,
 		TraceID:      obs.TraceIDFrom(ctx),
 		Cache:        c.Stats().Sub(before).Recorded(),
-		StageSeconds: metrics.Snapshot().StageSeconds(),
+		StageSeconds: snap.StageSeconds(),
 	}
 	if sum != nil {
 		resp.Projects = sum.Projects
@@ -230,7 +231,7 @@ func (w *Worker) Run(ctx context.Context, req *RunRequest) (*RunResponse, error)
 			resp.Failures = append(resp.Failures, FailureInfo{Index: f.Index, Name: f.Name, Err: f.Err.Error()})
 		}
 	}
-	resp.ManifestID = w.seal(req, resp, start, runErr)
+	resp.ManifestID = w.seal(req, resp, snap, start, runErr)
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -241,10 +242,11 @@ func (w *Worker) Run(ctx context.Context, req *RunRequest) (*RunResponse, error)
 	return resp, nil
 }
 
-// seal records the shard run in the worker's ledger (when configured).
-// Interrupted and failed runs are sealed too, so the ledger is the
-// complete shard history; sealing is best-effort and never fails a run.
-func (w *Worker) seal(req *RunRequest, resp *RunResponse, start time.Time, runErr error) string {
+// seal records the shard run in the worker's ledger (when configured),
+// with the latency summary of snap, the run's engine metrics. Interrupted
+// and failed runs are sealed too, so the ledger is the complete shard
+// history; sealing is best-effort and never fails a run.
+func (w *Worker) seal(req *RunRequest, resp *RunResponse, snap engine.Snapshot, start time.Time, runErr error) string {
 	if w.LedgerDir == "" {
 		return ""
 	}
@@ -268,7 +270,7 @@ func (w *Worker) seal(req *RunRequest, resp *RunResponse, start time.Time, runEr
 	for _, f := range resp.Failures {
 		m.Failures = append(m.Failures, runlog.FailureSummary{Name: f.Name, Err: f.Err})
 	}
-	m.StageSeconds = resp.StageSeconds
+	m.RecordEngine(snap)
 	m.Cache = resp.Cache
 	m.Finish(time.Now(), runErr)
 	if _, err := runlog.Write(w.LedgerDir, m); err != nil {

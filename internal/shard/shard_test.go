@@ -14,6 +14,7 @@ import (
 
 	"coevo/internal/cache"
 	"coevo/internal/obs"
+	"coevo/internal/runlog"
 	"coevo/internal/study"
 )
 
@@ -151,6 +152,34 @@ func TestMergedCacheCountsEveryCounter(t *testing.T) {
 		if !strings.Contains(string(raw), field) {
 			t.Errorf("merged cache JSON lacks %s: %s", field, raw)
 		}
+	}
+}
+
+// TestShardManifestRecordsLatencies: a worker with a ledger seals each
+// shard run with the engine's latency summary, so `runs diff` of two
+// shard manifests compares latencies as well as stage seconds.
+func TestShardManifestRecordsLatencies(t *testing.T) {
+	dir := t.TempDir()
+	resp, err := (&Worker{LedgerDir: dir}).Run(context.Background(), &RunRequest{Seed: 11, PerTaxon: 2, Shard: 0, Of: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := runlog.Load(dir, resp.ManifestID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]float64{
+		"p50_seconds":        m.P50Seconds,
+		"p95_seconds":        m.P95Seconds,
+		"max_seconds":        m.MaxSeconds,
+		"throughput_per_sec": m.ThroughputPerSec,
+	} {
+		if v <= 0 {
+			t.Errorf("shard manifest %s = %v, want > 0", name, v)
+		}
+	}
+	if len(m.StageSeconds) == 0 {
+		t.Error("shard manifest has no stage seconds")
 	}
 }
 

@@ -18,12 +18,15 @@ race:
 
 # verify is the full gate: gofmt-clean sources, compile everything, vet,
 # and run the test suite under the race detector — the execution engine's
-# concurrency must stay race-clean. The benchmark module (bench/) imports
-# internal APIs, so it is vetted too.
+# concurrency must stay race-clean. The allocation budgets (the
+# *AllocBudget tests) skip under the race detector, so they run again
+# without it. The benchmark module (bench/) imports internal APIs, so it
+# is vetted too.
 verify:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
+	$(GO) test -count=1 -run AllocBudget ./...
 	cd bench && $(GO) vet ./...
 
 # bench times full study runs — cold and warm cache, workers=1 vs

@@ -163,7 +163,7 @@ func ExtractSchemaHistoryFromVersions(path string, fileVersions []vcs.FileVersio
 	if len(fileVersions) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoDDLFile, path)
 	}
-	h := &SchemaHistory{Path: path, opts: opts}
+	h := &SchemaHistory{Path: path, Versions: make([]SchemaVersion, 0, len(fileVersions)), opts: opts}
 	var b schema.Builder
 	schemas := make([]*schema.Schema, 0, len(fileVersions)+1)
 	schemas = append(schemas, schema.New()) // the pre-birth empty schema
@@ -179,6 +179,9 @@ func ExtractSchemaHistoryFromVersions(path string, fileVersions []vcs.FileVersio
 				h.NoOpCommits++
 			}
 			prevRaw, havePrev = fv.Content, true
+			// The copy stays: the Builder's memo keys and the AST's
+			// strings alias the text, and fv.Content is a []byte that
+			// SchemaVersion.Raw hands on to callers, who could write it.
 			s, rep := b.ParseAndBuild(string(fv.Content), opts.Dialect)
 			sv.Schema = s
 			sv.Report = rep

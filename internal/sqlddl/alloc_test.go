@@ -33,13 +33,43 @@ ALTER TABLE users MODIFY COLUMN email VARCHAR(320) NOT NULL;
 DROP TABLE IF EXISTS legacy_audit;
 `
 
+// createDDL is a CREATE-only schema version, the shape of the versions a
+// study parses: parameterized, ENUM and multi-word types, inline and
+// table-level keys and foreign keys.
+const createDDL = `CREATE TABLE users (
+  id BIGINT NOT NULL AUTO_INCREMENT,
+  email VARCHAR(255) NOT NULL,
+  balance DECIMAL(10,2) UNSIGNED,
+  rating DOUBLE PRECISION,
+  status ENUM('active','blocked') NOT NULL,
+  nick CHARACTER VARYING(32),
+  seen TIMESTAMP(3) WITH TIME ZONE,
+  PRIMARY KEY (id),
+  UNIQUE KEY uniq_email (email)
+);
+
+CREATE TABLE orders (
+  id BIGINT NOT NULL,
+  user_id BIGINT NOT NULL REFERENCES users (id),
+  total NUMERIC(12,4),
+  PRIMARY KEY (id, user_id),
+  KEY idx_user (user_id),
+  CONSTRAINT fk_user FOREIGN KEY (user_id) REFERENCES users (id) ON DELETE CASCADE
+);
+`
+
 // The allocation budgets of the reusable hot path, in average allocations
-// per operation after warm-up. Lexing into the token slab must be
-// allocation-free; a steady-state parse may only allocate the per-column
-// argument slices that the AST retains (they alias nothing reusable).
+// per operation after warm-up. Lexing into the token slab and parsing
+// CREATE TABLE statements must be allocation-free: every AST slice is cut
+// from a parser-owned slab, and names, type arguments and key columns
+// alias the input. allocDDL's DEFAULT texts and ALTER actions (boxed
+// into AlterAction) still allocate. Rendering a type with arguments is
+// one allocation.
 const (
-	lexBudget   = 0
-	parseBudget = 30 // measured 25: retained AST slices + action boxing
+	lexBudget    = 0
+	parseBudget  = 6 // measured 4: two DEFAULT texts, two boxed ALTER actions
+	createBudget = 0
+	stringBudget = 1
 )
 
 // warm runs the parser until every internal slab has reached its
@@ -86,6 +116,40 @@ func TestParseDDLAllocBudget(t *testing.T) {
 		t.Errorf("parsing one DDL version allocates %.1f/op, budget %d", avg, parseBudget)
 	}
 	t.Logf("parse allocs/op: %.1f", avg)
+}
+
+func TestPooledCreateParseAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun accounting is distorted under the race detector")
+	}
+	parse := func() {
+		script, diags, release := ParseWithDiagnosticsPooled(createDDL, Generic)
+		if len(diags) > 0 || len(script.Statements) != 2 {
+			t.Fatalf("parse: %d statements, diagnostics %v", len(script.Statements), diags)
+		}
+		release()
+	}
+	for i := 0; i < 4; i++ {
+		parse()
+	}
+	if avg := testing.AllocsPerRun(200, parse); avg > createBudget {
+		t.Errorf("a pooled parse of a CREATE-only version allocates %.1f/op, budget %d", avg, createBudget)
+	}
+}
+
+func TestDataTypeStringAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun accounting is distorted under the race detector")
+	}
+	dt := DataType{Name: "DECIMAL", Args: []string{"10", "2"}, Unsigned: true}
+	var got string
+	avg := testing.AllocsPerRun(200, func() { got = dt.String() })
+	if got != "DECIMAL(10,2) UNSIGNED" {
+		t.Fatalf("String() = %q", got)
+	}
+	if avg > stringBudget {
+		t.Errorf("rendering %s allocates %.1f/op, budget %d", got, avg, stringBudget)
+	}
 }
 
 func BenchmarkParseReuse(b *testing.B) {

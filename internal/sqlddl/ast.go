@@ -71,16 +71,39 @@ type DataType struct {
 func (d DataType) IsZero() bool { return d.Name == "" }
 
 // String renders the type in canonical form. The common bare-name case
-// (no arguments or modifiers) returns the name without allocating.
+// (no arguments or modifiers) returns the name without allocating; any
+// other renders into one buffer sized up front, one allocation.
 func (d DataType) String() string {
 	if len(d.Args) == 0 && !d.Unsigned && !d.Zerofill && !d.Array {
 		return d.Name
 	}
+	n := len(d.Name)
+	if len(d.Args) > 0 {
+		n += len(d.Args) + 1 // the parentheses and the commas between arguments
+		for _, a := range d.Args {
+			n += len(a)
+		}
+	}
+	if d.Unsigned {
+		n += len(" UNSIGNED")
+	}
+	if d.Zerofill {
+		n += len(" ZEROFILL")
+	}
+	if d.Array {
+		n += len("[]")
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(d.Name)
 	if len(d.Args) > 0 {
 		b.WriteByte('(')
-		b.WriteString(strings.Join(d.Args, ","))
+		for i, a := range d.Args {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(a)
+		}
 		b.WriteByte(')')
 	}
 	if d.Unsigned {

@@ -39,6 +39,9 @@ func FuzzParseLenient(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	for _, tc := range argForms {
+		f.Add(tc.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		script, diags := ParseWithDiagnostics(src, Generic)
 		if script == nil {

@@ -47,7 +47,7 @@ func (p *Parser) parse(src string, d Dialect, strict bool) (*Script, []error) {
 	if d == Auto {
 		d = DetectDialect(src)
 	}
-	p.dialect = d
+	p.dialect, p.src = d, src
 	dropped, errs := p.split(src)
 	if strict && len(errs) > 0 {
 		return nil, errs[:1]
@@ -386,9 +386,9 @@ table:
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err
 	}
-	// Columns accumulate in the arena's shared ColumnDef slab; the
-	// table's span is capped off once the element list closes.
-	colStart := len(p.arena.colSlab)
+	// Columns and constraints accumulate in the arena's slabs; the
+	// table's spans are cut once the element list closes.
+	colStart, conStart := len(p.arena.colSlab), len(p.arena.conSlab)
 	for {
 		if p.acceptSymbol(")") {
 			break
@@ -402,7 +402,7 @@ table:
 				return nil, err
 			}
 			if ok {
-				ct.Constraints = append(ct.Constraints, c)
+				p.arena.conSlab = append(p.arena.conSlab, c)
 			}
 		} else {
 			col, err := p.parseColumnDef()
@@ -419,12 +419,8 @@ table:
 		}
 		break
 	}
-	// An empty element list leaves Columns nil — not an empty slice into
-	// the slab — so a reused parser's output is structurally identical to
-	// a fresh parser's (where the untouched slab is nil).
-	if colEnd := len(p.arena.colSlab); colEnd > colStart {
-		ct.Columns = p.arena.colSlab[colStart:colEnd:colEnd]
-	}
+	ct.Columns = cut(p.arena.colSlab, colStart)
+	ct.Constraints = cut(p.arena.conSlab, conStart)
 	// Everything after the element list is table options (ENGINE=...,
 	// charset, partitioning); irrelevant at the logical level.
 	p.pos = len(p.toks)
@@ -489,14 +485,49 @@ func (p *stmtParser) parseColumnDef() (ColumnDef, error) {
 	return col, nil
 }
 
-// multiWordTypes maps a leading type word to its possible continuations.
-var multiWordTypes = map[string][][]string{
-	"DOUBLE":    {{"PRECISION"}},
-	"CHARACTER": {{"VARYING"}},
-	"CHAR":      {{"VARYING"}},
-	"BIT":       {{"VARYING"}},
-	"LONG":      {{"VARBINARY"}, {"VARCHAR"}},
-	"NATIONAL":  {{"CHARACTER", "VARYING"}, {"CHARACTER"}, {"CHAR", "VARYING"}, {"CHAR"}, {"VARCHAR"}},
+// multiWordTypes maps a leading type word to the type names of more than
+// one word it may begin, each before any name that is its prefix.
+var multiWordTypes = map[string][]string{
+	"DOUBLE":    {"DOUBLE PRECISION"},
+	"CHARACTER": {"CHARACTER VARYING"},
+	"CHAR":      {"CHAR VARYING"},
+	"BIT":       {"BIT VARYING"},
+	"LONG":      {"LONG VARBINARY", "LONG VARCHAR"},
+	"NATIONAL": {"NATIONAL CHARACTER VARYING", "NATIONAL CHARACTER",
+		"NATIONAL CHAR VARYING", "NATIONAL CHAR", "NATIONAL VARCHAR"},
+}
+
+// zonedTypes is multiWordTypes for TIMESTAMP/TIME WITH/WITHOUT TIME ZONE,
+// whose qualifier follows the precision argument.
+var zonedTypes = map[string][]string{
+	"TIMESTAMP": {"TIMESTAMP WITH TIME ZONE", "TIMESTAMP WITHOUT TIME ZONE"},
+	"TIME":      {"TIME WITH TIME ZONE", "TIME WITHOUT TIME ZONE"},
+}
+
+// extendTypeName replaces dt.Name with the first of names[dt.Name] whose
+// remaining words come next, consuming them.
+func (p *stmtParser) extendTypeName(names map[string][]string, dt *DataType) {
+	for _, name := range names[dt.Name] {
+		if p.acceptWords(name[len(dt.Name)+1:]) {
+			dt.Name = name
+			return
+		}
+	}
+}
+
+// acceptWords is acceptKeywords for keywords given as one space-separated
+// string.
+func (p *stmtParser) acceptWords(words string) bool {
+	n := 0
+	for rest := words; rest != ""; n++ {
+		var w string
+		w, rest, _ = strings.Cut(rest, " ")
+		if !p.peekAt(n).keywordIs(w) {
+			return false
+		}
+	}
+	p.pos += n
+	return true
 }
 
 // parseDataType parses a SQL type with optional arguments and modifiers.
@@ -507,14 +538,7 @@ func (p *stmtParser) parseDataType() (DataType, error) {
 		return dt, p.errf("expected data type: %v", err)
 	}
 	dt.Name = upperASCII(first)
-	if conts, ok := multiWordTypes[dt.Name]; ok {
-		for _, cont := range conts {
-			if p.acceptKeywords(cont...) {
-				dt.Name += " " + strings.Join(cont, " ")
-				break
-			}
-		}
-	}
+	p.extendTypeName(multiWordTypes, &dt)
 	if p.acceptSymbol("(") {
 		args, err := p.parseTypeArgs()
 		if err != nil {
@@ -522,15 +546,7 @@ func (p *stmtParser) parseDataType() (DataType, error) {
 		}
 		dt.Args = args
 	}
-	// TIMESTAMP/TIME WITH/WITHOUT TIME ZONE takes its qualifier after the
-	// precision argument.
-	if dt.Name == "TIMESTAMP" || dt.Name == "TIME" {
-		if p.acceptKeywords("WITH", "TIME", "ZONE") {
-			dt.Name += " WITH TIME ZONE"
-		} else if p.acceptKeywords("WITHOUT", "TIME", "ZONE") {
-			dt.Name += " WITHOUT TIME ZONE"
-		}
-	}
+	p.extendTypeName(zonedTypes, &dt)
 	for {
 		switch {
 		case p.acceptKeyword("UNSIGNED"):
@@ -557,36 +573,77 @@ func (p *stmtParser) parseDataType() (DataType, error) {
 }
 
 // parseTypeArgs reads the comma-separated literal arguments of a type up to
-// the closing parenthesis. Strings are re-quoted so ENUM values compare
-// stably.
+// the closing parenthesis into the arena's string slab. An argument ended
+// by ',' is kept even when empty; the one ended by ')' only when its text
+// is not empty, so INT() has no arguments.
 func (p *stmtParser) parseTypeArgs() ([]string, error) {
-	var args []string
-	var current strings.Builder
+	start, from := len(p.arena.strSlab), p.pos
 	for {
 		t := p.peek()
 		switch {
 		case t.kind == tokEOF:
 			return nil, p.errc(CodeSynList, "unterminated type argument list")
 		case t.symbolIs(")"):
-			p.advance()
-			if current.Len() > 0 {
-				args = append(args, current.String())
+			if arg := p.typeArg(p.toks[from:p.pos]); arg != "" {
+				p.arena.strSlab = append(p.arena.strSlab, arg)
 			}
-			return args, nil
+			p.advance()
+			return cut(p.arena.strSlab, start), nil
 		case t.symbolIs(","):
+			p.arena.strSlab = append(p.arena.strSlab, p.typeArg(p.toks[from:p.pos]))
 			p.advance()
-			args = append(args, current.String())
-			current.Reset()
-		case t.kind == tokString:
-			p.advance()
-			current.WriteByte('\'')
-			current.WriteString(t.text)
-			current.WriteByte('\'')
+			from = p.pos
 		default:
 			p.advance()
-			current.WriteString(t.text)
 		}
 	}
+}
+
+// typeArg returns the text of one type argument: its tokens' texts
+// concatenated, strings re-quoted in single quotes so ENUM values compare
+// stably. A one-token argument is its token's text, or for a string the
+// quoted source text itself; only an argument of several tokens, or a
+// string the source spells otherwise, allocates.
+func (p *stmtParser) typeArg(toks []token) string {
+	if len(toks) == 1 {
+		if toks[0].kind == tokString {
+			return p.arena.quotedString(toks[0])
+		}
+		return toks[0].text
+	}
+	n := 0
+	for _, t := range toks {
+		n += len(t.text)
+		if t.kind == tokString {
+			n += 2
+		}
+	}
+	if n == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, t := range toks {
+		if t.kind == tokString {
+			b.WriteByte('\'')
+			b.WriteString(t.text)
+			b.WriteByte('\'')
+		} else {
+			b.WriteString(t.text)
+		}
+	}
+	return b.String()
+}
+
+// quotedString returns string token t in single quotes: the source text
+// itself when the source spells it exactly so (no escapes, single
+// quotes), else a copy.
+func (p *Parser) quotedString(t token) string {
+	if end := t.pos + len(t.text) + 2; end <= len(p.src) && p.src[t.pos] == '\'' &&
+		p.src[end-1] == '\'' && p.src[t.pos+1:end-1] == t.text {
+		return p.src[t.pos:end]
+	}
+	return "'" + t.text + "'"
 }
 
 // parseColumnOptions consumes the option clauses after a column's type
@@ -829,7 +886,7 @@ func (p *stmtParser) parseForeignKeyRef() (*ForeignKeyRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := &ForeignKeyRef{Table: table}
+	ref := p.arena.newRef(table)
 	if p.acceptSymbol("(") {
 		cols, err := p.parseKeyColumns()
 		if err != nil {
@@ -882,7 +939,7 @@ func (p *stmtParser) parseRefAction() (string, error) {
 // through the closing ')', reducing each entry to a column name (or a
 // "<expr>" placeholder for expression indexes).
 func (p *stmtParser) parseKeyColumns() ([]string, error) {
-	var cols []string
+	start := len(p.arena.strSlab)
 	for {
 		t := p.peek()
 		switch {
@@ -893,7 +950,7 @@ func (p *stmtParser) parseKeyColumns() ([]string, error) {
 			if _, err := p.parseBalancedTail(); err != nil {
 				return nil, err
 			}
-			cols = append(cols, "<expr>")
+			p.arena.strSlab = append(p.arena.strSlab, "<expr>")
 		case t.kind == tokIdent || t.kind == tokQuotedIdent:
 			p.advance()
 			name := t.text
@@ -904,7 +961,7 @@ func (p *stmtParser) parseKeyColumns() ([]string, error) {
 			}
 			p.acceptKeyword("ASC")
 			p.acceptKeyword("DESC")
-			cols = append(cols, name)
+			p.arena.strSlab = append(p.arena.strSlab, name)
 		default:
 			return nil, p.errf("expected key column, found %s %q", t.kind, t.text)
 		}
@@ -914,7 +971,7 @@ func (p *stmtParser) parseKeyColumns() ([]string, error) {
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		return cols, nil
+		return cut(p.arena.strSlab, start), nil
 	}
 }
 
@@ -1083,16 +1140,18 @@ func (p *stmtParser) parseDropTable() (Statement, error) {
 	if p.acceptKeywords("IF", "EXISTS") {
 		dt.IfExists = true
 	}
+	start := len(p.arena.nameSlab)
 	for {
 		name, err := p.parseTableName()
 		if err != nil {
 			return nil, err
 		}
-		dt.Names = append(dt.Names, name)
+		p.arena.nameSlab = append(p.arena.nameSlab, name)
 		if !p.acceptSymbol(",") {
 			break
 		}
 	}
+	dt.Names = cut(p.arena.nameSlab, start)
 	p.acceptKeyword("CASCADE")
 	p.acceptKeyword("RESTRICT")
 	if !p.done() {
@@ -1109,6 +1168,7 @@ func (p *stmtParser) parseRenameTable() (Statement, error) {
 	if err := p.expectKeyword("TABLE"); err != nil {
 		return nil, err
 	}
+	start := len(p.arena.renSlab)
 	for {
 		from, err := p.parseTableName()
 		if err != nil {
@@ -1121,11 +1181,12 @@ func (p *stmtParser) parseRenameTable() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt.Renames = append(rt.Renames, TableRename{From: from, To: to})
+		p.arena.renSlab = append(p.arena.renSlab, TableRename{From: from, To: to})
 		if !p.acceptSymbol(",") {
 			break
 		}
 	}
+	rt.Renames = cut(p.arena.renSlab, start)
 	return rt, nil
 }
 
@@ -1146,6 +1207,7 @@ func (p *stmtParser) parseAlterTable() (Statement, error) {
 		return nil, err
 	}
 	at.Name = name
+	start := len(p.arena.actSlab)
 	for {
 		if p.done() {
 			break
@@ -1155,13 +1217,14 @@ func (p *stmtParser) parseAlterTable() (Statement, error) {
 			return nil, err
 		}
 		if action != nil {
-			at.Actions = append(at.Actions, action)
+			p.arena.actSlab = append(p.arena.actSlab, action)
 		}
 		if p.acceptSymbol(",") {
 			continue
 		}
 		break
 	}
+	at.Actions = cut(p.arena.actSlab, start)
 	if !p.done() {
 		return nil, p.errc(CodeSynTrail, "unexpected trailing tokens in ALTER TABLE: %q", p.peek().text)
 	}

@@ -681,3 +681,118 @@ func TestDoubleQuoteEscapeInIdentifier(t *testing.T) {
 		t.Errorf("name = %q", ct.Name.Name)
 	}
 }
+
+// argForms pins the bytes the parser reduces type arguments and key
+// column lists to, edge cases included: each case is one statement and
+// lists its every DataType.Args and key-column slice in source order
+// (see argLists). A nil entry is a nil slice, not an empty one. The
+// sources double as FuzzParseLenient seeds.
+var argForms = []struct {
+	dialect Dialect
+	src     string
+	types   []string // type name of each column of the first statement; nil skips the check
+	lists   [][]string
+}{
+	{Generic, "CREATE TABLE t (a VARCHAR(255));", nil, [][]string{{"255"}}},
+	{Generic, "CREATE TABLE t (a DECIMAL(10,2), b DECIMAL( 10 , 2 ));", nil, [][]string{{"10", "2"}, {"10", "2"}}},
+	{Generic, "CREATE TABLE t (a INT());", nil, [][]string{nil}},
+	{Generic, "CREATE TABLE t (a INT(,5));", nil, [][]string{{"", "5"}}},
+	{Generic, "CREATE TABLE t (a INT(10,));", nil, [][]string{{"10"}}},
+	{Generic, "CREATE TABLE t (a VARCHAR(255 BYTE));", nil, [][]string{{"255BYTE"}}},
+	{Generic, "CREATE TABLE t (a NUMBER(-1));", nil, [][]string{{"-1"}}},
+	{Generic, "CREATE TABLE t (a ENUM('x','it''s',''));", nil, [][]string{{"'x'", "'it's'", "''"}}},
+	{Generic, "CREATE TABLE t (a INT('a' 'b'), b INT(\"\" 5));", nil, [][]string{{"'a''b'"}, {"5"}}},
+	{Generic, `CREATE TABLE t (a INT(""));`, nil, [][]string{nil}},
+	{MySQL, `CREATE TABLE t (a ENUM("x","y"));`, nil, [][]string{{"'x'", "'y'"}}},
+	{MySQL, `CREATE TABLE t (a ENUM('a\'b'));`, nil, [][]string{{"'a'b'"}}},
+	{MySQL, `CREATE TABLE t (a ENUM('\'','a'''));`, nil, [][]string{{"'''", "'a''"}}},
+	{MySQL, "CREATE TABLE t (a INT(``));", nil, [][]string{nil}},
+	{Postgres, "CREATE TABLE t (a TEXT($$x$$));", nil, [][]string{{"'x'"}}},
+	{Postgres, `CREATE TABLE t (a TEXT(E'\n'));`, nil, [][]string{{"E'n'"}}},
+	{Generic, "CREATE TABLE t (a CHARACTER VARYING(10), b TIMESTAMP(3) WITH TIME ZONE, c NATIONAL CHAR VARYING(5), d double precision, e time without time zone);",
+		[]string{"CHARACTER VARYING", "TIMESTAMP WITH TIME ZONE", "NATIONAL CHAR VARYING", "DOUBLE PRECISION", "TIME WITHOUT TIME ZONE"},
+		[][]string{{"10"}, {"3"}, {"5"}, nil, nil}},
+	{Generic, `CREATE TABLE t (
+		a INT, b TEXT, c INT REFERENCES p (x),
+		PRIMARY KEY (a(10), b DESC, (lower(b))),
+		UNIQUE KEY u (b(20) ASC),
+		KEY (a),
+		FOREIGN KEY (a, c) REFERENCES q (x, y) ON DELETE CASCADE,
+		CONSTRAINT f FOREIGN KEY (b) REFERENCES r
+	);`, nil, [][]string{nil, nil, nil, {"x"}, {"a", "b", "<expr>"}, {"b"}, {"a"}, {"a", "c"}, {"x", "y"}, {"b"}, nil}},
+	{Generic, "ALTER TABLE t ADD COLUMN a DECIMAL(8,3), MODIFY b CHAR(2), ADD CONSTRAINT k PRIMARY KEY (a, `b`), ADD FOREIGN KEY (a) REFERENCES p (id);",
+		nil, [][]string{{"8", "3"}, {"2"}, {"a", "b"}, {"a"}, {"id"}}},
+}
+
+// argLists returns every DataType.Args and key-column slice of stmt in
+// source order: per column its type's arguments, then its REFERENCES
+// columns if it has any; per constraint its columns, then its
+// REFERENCES columns if it has any.
+func argLists(stmt Statement) [][]string {
+	var out [][]string
+	col := func(c ColumnDef) {
+		out = append(out, c.Type.Args)
+		if c.References != nil {
+			out = append(out, c.References.Columns)
+		}
+	}
+	constraint := func(c TableConstraint) {
+		out = append(out, c.Columns)
+		if c.Ref != nil {
+			out = append(out, c.Ref.Columns)
+		}
+	}
+	switch st := stmt.(type) {
+	case *CreateTable:
+		for _, c := range st.Columns {
+			col(c)
+		}
+		for _, c := range st.Constraints {
+			constraint(c)
+		}
+	case *AlterTable:
+		for _, a := range st.Actions {
+			switch a := a.(type) {
+			case AddColumn:
+				col(a.Column)
+			case ModifyColumn:
+				col(a.Column)
+			case ChangeColumn:
+				col(a.Column)
+			case AlterColumnType:
+				out = append(out, a.Type.Args)
+			case AddConstraint:
+				constraint(a.Constraint)
+			}
+		}
+	}
+	return out
+}
+
+func TestTypeArgsAndKeyColumnsBytes(t *testing.T) {
+	reused := NewParser()
+	for _, tc := range argForms {
+		fresh, diags := ParseWithDiagnostics(tc.src, tc.dialect)
+		if len(diags) > 0 || len(fresh.Statements) != 1 {
+			t.Fatalf("%s %q: %d statements, diagnostics %v", tc.dialect, tc.src, len(fresh.Statements), diags)
+		}
+		again, _ := reused.ParseWithDiagnostics(tc.src, tc.dialect)
+		pooled, _, release := ParseWithDiagnosticsPooled(tc.src, tc.dialect)
+		for name, script := range map[string]*Script{"fresh": fresh, "reused": again, "pooled": pooled} {
+			if got := argLists(script.Statements[0]); !reflect.DeepEqual(got, tc.lists) {
+				t.Errorf("%s %s %q:\n got %#v\nwant %#v", name, tc.dialect, tc.src, got, tc.lists)
+			}
+		}
+		release()
+		if tc.types == nil {
+			continue
+		}
+		var types []string
+		for _, c := range fresh.Statements[0].(*CreateTable).Columns {
+			types = append(types, c.Type.Name)
+		}
+		if !reflect.DeepEqual(types, tc.types) {
+			t.Errorf("%q: types %q, want %q", tc.src, types, tc.types)
+		}
+	}
+}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"coevo/internal/race"
 )
 
 func TestNilCacheIsAlwaysMissNoOp(t *testing.T) {
@@ -249,6 +251,35 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
+// hasherBudget caps the allocations of one key: the Hasher and its
+// sha256 state, whatever the number of fields, because every field and
+// the digest go through the Hasher's scratch block (a stack buffer per
+// Int, Bool, String and Sum took one allocation each).
+const hasherBudget = 2
+
+func TestHasherAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun accounting is distorted under the race detector")
+	}
+	when := time.Date(2020, 1, 2, 3, 4, 5, 6, time.UTC)
+	blob := bytes.Repeat([]byte("x"), 100)
+	long := string(bytes.Repeat([]byte("y"), 200))
+	var key Key
+	avg := testing.AllocsPerRun(100, func() {
+		h := NewHasher("stage/v1")
+		for i := int64(0); i < 10; i++ {
+			h.Int(i)
+		}
+		key = h.Bool(true).Float(0.5).Time(when).String(long).Bytes(blob).Sum()
+	})
+	if key == (Key{}) {
+		t.Fatal("zero key")
+	}
+	if avg > hasherBudget {
+		t.Errorf("one key allocates %.1f/op, budget %d", avg, hasherBudget)
+	}
+}
+
 func TestHasherFraming(t *testing.T) {
 	// Adjacent fields must not be confusable by shifting bytes.
 	a := NewHasher("s").Bytes([]byte("ab")).Bytes([]byte("c")).Sum()
@@ -340,6 +371,59 @@ func TestCodecFailures(t *testing.T) {
 	d3.Bool()
 	if d3.Err() == nil {
 		t.Error("bad bool byte accepted")
+	}
+}
+
+// TestDecBlobIsCappedView: Blob copies nothing, and its result is capped
+// at its length, so an append to it copies instead of overwriting the
+// next field of the value.
+func TestDecBlobIsCappedView(t *testing.T) {
+	var e Enc
+	e.Blob([]byte("first"))
+	e.String("next")
+	value := e.Copy()
+	d := NewDec(value)
+	b := d.Blob()
+	if string(b) != "first" || cap(b) != len(b) {
+		t.Fatalf("Blob = %q with cap %d, want \"first\" with cap 5", b, cap(b))
+	}
+	if &b[0] != &value[1] {
+		t.Error("Blob copied the value instead of returning a view of it")
+	}
+	_ = append(b, "XXXX"...)
+	if s := d.String(); s != "next" || d.Err() != nil {
+		t.Errorf("after appending to the blob, next field = %q (%v)", s, d.Err())
+	}
+}
+
+// TestDecRejectsOverlongVarints: a varint is accepted only in the
+// shortest form Enc writes, so every value has one accepted encoding.
+func TestDecRejectsOverlongVarints(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		read func(*Dec)
+		raw  []byte
+	}{
+		{"uvarint 0 in two bytes", func(d *Dec) { d.Uvarint() }, []byte{0x80, 0x00}},
+		{"uvarint 5 in three bytes", func(d *Dec) { d.Uvarint() }, []byte{0x85, 0x80, 0x00}},
+		{"varint -1 in two bytes", func(d *Dec) { d.Int() }, []byte{0x81, 0x00}},
+		{"time in an overlong varint", func(d *Dec) { d.Time() }, []byte{0x82, 0x00}},
+		{"string length in two bytes", func(d *Dec) { _ = d.String() }, []byte{0x81, 0x00, 'x'}},
+	} {
+		d := NewDec(c.raw)
+		c.read(d)
+		if d.Err() == nil {
+			t.Errorf("%s: % x accepted", c.name, c.raw)
+		}
+	}
+	var e Enc
+	e.Uvarint(0)
+	e.Uvarint(1 << 63)
+	e.Int(-1 << 63)
+	e.Int(300)
+	d := NewDec(e.Bytes())
+	if d.Uvarint() != 0 || d.Uvarint() != 1<<63 || d.Int() != -1<<63 || d.Int() != 300 || d.Err() != nil {
+		t.Errorf("minimal varints rejected: %v", d.Err())
 	}
 }
 

@@ -124,13 +124,19 @@ func (d *Dec) fail(what string) {
 	}
 }
 
-// Uvarint reads an unsigned varint.
+// minimalVarint reports whether the n-byte varint at the head of p is the
+// shortest encoding of its value, the only one Enc writes: a longer one
+// ends in a zero byte.
+func minimalVarint(p []byte, n int) bool { return n == 1 || p[n-1] != 0 }
+
+// Uvarint reads an unsigned varint. Like every read it accepts only the
+// encoding Enc writes, so one value has one accepted encoding.
 func (d *Dec) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
+	if n <= 0 || !minimalVarint(d.buf, n) {
 		d.fail("uvarint")
 		return 0
 	}
@@ -144,7 +150,7 @@ func (d *Dec) Int() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf)
-	if n <= 0 {
+	if n <= 0 || !minimalVarint(d.buf, n) {
 		d.fail("varint")
 		return 0
 	}
@@ -166,7 +172,11 @@ func (d *Dec) Bool() bool {
 	return v
 }
 
-// Blob reads a length-prefixed byte slice (copied out of the buffer).
+// Blob reads a length-prefixed byte slice. It copies nothing: the result
+// is a view of the value NewDec was given, valid only while that value
+// is and never to be modified. Its capacity is its length, so appending
+// to it copies instead of overwriting the next field. A caller that
+// keeps the bytes beyond the decode copies them.
 func (d *Dec) Blob() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
@@ -176,8 +186,7 @@ func (d *Dec) Blob() []byte {
 		d.fail("blob length")
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf)
+	out := d.buf[:n:n]
 	d.buf = d.buf[n:]
 	return out
 }

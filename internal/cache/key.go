@@ -21,6 +21,10 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // never collide by concatenation ambiguity.
 type Hasher struct {
 	h hash.Hash
+	// scratch carries every fixed-width field, string byte and the final
+	// digest to h. A buffer on the stack would move to the heap on every
+	// call, because h.Write is an interface call.
+	scratch [sha256.BlockSize]byte
 }
 
 // NewHasher starts a key over the given stage-version string (e.g.
@@ -39,28 +43,32 @@ func (h *Hasher) Bytes(p []byte) *Hasher {
 	return h
 }
 
-// String folds a length-prefixed string field into the key.
+// String folds a length-prefixed string field into the key. The bytes
+// reach the hash through the scratch block, one block at a time.
 func (h *Hasher) String(s string) *Hasher {
 	h.Int(int64(len(s)))
-	h.h.Write([]byte(s))
+	for len(s) > 0 {
+		n := copy(h.scratch[:], s)
+		h.h.Write(h.scratch[:n])
+		s = s[n:]
+	}
 	return h
 }
 
 // Int folds a fixed-width integer field into the key.
 func (h *Hasher) Int(v int64) *Hasher {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(v))
-	h.h.Write(buf[:])
+	binary.BigEndian.PutUint64(h.scratch[:8], uint64(v))
+	h.h.Write(h.scratch[:8])
 	return h
 }
 
 // Bool folds a boolean field into the key.
 func (h *Hasher) Bool(v bool) *Hasher {
-	b := byte(0)
+	h.scratch[0] = 0
 	if v {
-		b = 1
+		h.scratch[0] = 1
 	}
-	h.h.Write([]byte{b})
+	h.h.Write(h.scratch[:1])
 	return h
 }
 
@@ -76,7 +84,5 @@ func (h *Hasher) Time(t time.Time) *Hasher {
 
 // Sum finalizes the key. The hasher must not be used afterwards.
 func (h *Hasher) Sum() Key {
-	var k Key
-	h.h.Sum(k[:0])
-	return k
+	return Key(h.h.Sum(h.scratch[:0]))
 }

@@ -49,3 +49,16 @@ func TestCommitHashesFrozen(t *testing.T) {
 		t.Errorf("digest over %d commit hashes = %s, want %s", commits, got, frozenCorpusDigest)
 	}
 }
+
+// frozenProjectKey is the generation-stage cache key of project 40 of the
+// seed-2023 corpus (profile 1). Caches written by any earlier build are
+// addressed by these bytes, so a change to the key's field sequence or
+// framing must come with a GenerateStage bump.
+const frozenProjectKey = "5d35e6adee88b17ad24e5d44548d56aa5c3a2f342a714c7610df0131ec5ce423"
+
+func TestCacheKeysFrozen(t *testing.T) {
+	cfg := DefaultConfig(2023)
+	if got := projectKey(cfg, cfg.Profiles[1], 40).String(); got != frozenProjectKey {
+		t.Errorf("projectKey(seed 2023, profile 1, 40) = %s, want %s", got, frozenProjectKey)
+	}
+}

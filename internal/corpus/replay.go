@@ -9,7 +9,10 @@
 package corpus
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"coevo/internal/cache"
 	"coevo/internal/taxa"
@@ -87,10 +90,66 @@ func encodeProject(p *Project) ([]byte, error) {
 	return e.Copy(), nil
 }
 
+// replayScratch is the working set of one decode, pooled across decodes:
+// the interned strings and the change list the script gives for the
+// commit being replayed.
+type replayScratch struct {
+	strs    map[string]string
+	changes []vcs.FileChange
+}
+
+var replayPool = sync.Pool{New: func() any { return &replayScratch{strs: make(map[string]string)} }}
+
+// intern returns the one string the scratch holds for b, adding a copy of
+// b on first sight. A project repeats a few hundred distinct paths and
+// signature fields across all its commits, so each is allocated once per
+// project instead of once per use. The lookup converts b without
+// allocating, so b may be a view of the cached value.
+func (s *replayScratch) intern(b []byte) string {
+	if str, ok := s.strs[string(b)]; ok {
+		return str
+	}
+	str := string(b)
+	s.strs[str] = str
+	return str
+}
+
+// release empties the scratch, keeping its capacity but none of a
+// project's strings, and returns it to the pool.
+func (s *replayScratch) release() {
+	clear(s.strs)
+	clear(s.changes[:cap(s.changes)])
+	s.changes = s.changes[:0]
+	replayPool.Put(s)
+}
+
+// sameChanges reports whether a replayed commit recorded exactly the
+// name-status list its script gave, in the same order.
+func sameChanges(got, want []vcs.FileChange) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i].Status != want[i].Status || got[i].Path != want[i].Path || got[i].OldPath != want[i].OldPath {
+			return false
+		}
+	}
+	return true
+}
+
 // decodeProject replays an encoded project into a fresh repository. Any
-// framing problem, commit error or head-hash mismatch returns an error —
-// callers treat that as a miss and regenerate.
+// framing problem, commit error, change list the replay did not record
+// as scripted, or head-hash mismatch returns an error — callers treat
+// that as a miss and regenerate. The head hash covers every commit's
+// author, message and tree, and the change-list check covers what it
+// does not (statuses, rename sources, no-op entries), so a script is
+// accepted only if encodeProject would write it byte for byte. The value
+// is read through views (Dec.Blob) only while decoding: Stage copies
+// every blob, and every string the repository keeps is its own copy, so
+// the replayed repository shares no byte with p.
 func decodeProject(p []byte) (*Project, error) {
+	scratch := replayPool.Get().(*replayScratch)
+	defer scratch.release()
 	d := cache.NewDec(p)
 	name := d.String()
 	taxon := taxa.Taxon(d.Int())
@@ -99,37 +158,42 @@ func decodeProject(p []byte) (*Project, error) {
 	nCommits := d.Uvarint()
 	for i := uint64(0); i < nCommits && !d.Failed(); i++ {
 		message := d.String()
-		sig := vcs.Signature{Name: d.String(), Email: d.String(), When: d.Time()}
+		// The string fields are read as blobs: the framing is the same.
+		sig := vcs.Signature{Name: scratch.intern(d.Blob()), Email: scratch.intern(d.Blob()), When: d.Time()}
 		nChanges := d.Uvarint()
+		want := scratch.changes[:0]
 		for j := uint64(0); j < nChanges && !d.Failed(); j++ {
-			status := vcs.ChangeStatus(d.Uvarint())
-			path := d.String()
-			oldPath := d.String()
-			switch status {
-			case vcs.Deleted:
-				repo.Remove(path)
-			case vcs.Renamed:
-				if err := repo.Move(oldPath, path); err != nil {
-					return nil, fmt.Errorf("corpus: replay move: %w", err)
-				}
-				repo.Stage(path, d.Blob())
-			default:
-				repo.Stage(path, d.Blob())
+			status := d.Uvarint()
+			ch := vcs.FileChange{Status: vcs.ChangeStatus(status), Path: scratch.intern(d.Blob()), OldPath: scratch.intern(d.Blob())}
+			if uint64(ch.Status) != status {
+				return nil, fmt.Errorf("corpus: replay commit %d: bad change status %d", i, status)
 			}
+			if ch.Status == vcs.Deleted {
+				repo.Remove(ch.Path)
+			} else {
+				repo.Stage(ch.Path, d.Blob())
+			}
+			want = append(want, ch)
 		}
+		scratch.changes = want
 		if d.Failed() {
 			break
 		}
-		if _, err := repo.Commit(message, sig); err != nil {
+		c, err := repo.Commit(message, sig)
+		if err != nil {
 			return nil, fmt.Errorf("corpus: replay commit %d: %w", i, err)
 		}
+		if got, _ := repo.Changes(c.Hash); !sameChanges(got, want) {
+			return nil, fmt.Errorf("corpus: replay commit %d: recorded changes differ from the script", i)
+		}
 	}
-	wantHead := d.String()
+	wantHead := d.Blob() // hex, compared in place
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	var gotHead [2 * len(vcs.Hash{})]byte
 	head := repo.Head()
-	if head == nil || head.Hash.String() != wantHead {
+	if head == nil || !bytes.Equal(hex.AppendEncode(gotHead[:0], head.Hash[:]), wantHead) {
 		return nil, fmt.Errorf("corpus: replayed head hash mismatch")
 	}
 	return &Project{Name: name, Taxon: taxon, Repo: repo, DDLPath: ddlPath}, nil

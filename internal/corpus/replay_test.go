@@ -1,9 +1,11 @@
 package corpus
 
 import (
+	"bytes"
 	"testing"
 
 	"coevo/internal/cache"
+	"coevo/internal/vcs"
 )
 
 // tinyConfig is a one-project-per-taxon corpus small enough for replay
@@ -137,4 +139,141 @@ func TestProjectKeySensitivity(t *testing.T) {
 	if projectKey(cfg4, prof, 3) == base {
 		t.Error("shape weights not keyed")
 	}
+}
+
+// TestReplayOwnsItsBytes: decoding reads the value through views, but
+// the replayed repository keeps none of them. After every byte of the
+// value is overwritten, the repository still equals one decoded from a
+// pristine copy: messages, authors, change lists, changed and versioned
+// content, head hash.
+func TestReplayOwnsItsBytes(t *testing.T) {
+	cfg := tinyConfig(9)
+	p, err := generateFresh(cfg, cfg.Profiles[5], 5) // ACTIVE: biggest repo
+	if err != nil {
+		t.Fatal(err)
+	}
+	value, err := encodeProject(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := bytes.Clone(value)
+	got, err := decodeProject(value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range value {
+		value[i] = ^value[i]
+	}
+	want, err := decodeProject(pristine)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got.Repo.Head().Hash != want.Repo.Head().Hash {
+		t.Errorf("head %s, want %s", got.Repo.Head().Hash, want.Repo.Head().Hash)
+	}
+	gotLog, wantLog := got.Repo.Log(vcs.LogOptions{Reverse: true}), want.Repo.Log(vcs.LogOptions{Reverse: true})
+	if len(gotLog) != len(wantLog) {
+		t.Fatalf("%d commits, want %d", len(gotLog), len(wantLog))
+	}
+	paths := map[string]bool{}
+	for i := range wantLog {
+		g, w := gotLog[i], wantLog[i]
+		if g.Commit.Message != w.Commit.Message || g.Commit.Author != w.Commit.Author {
+			t.Fatalf("commit %d: %q by %v, want %q by %v", i, g.Commit.Message, g.Commit.Author, w.Commit.Message, w.Commit.Author)
+		}
+		if len(g.Changes) != len(w.Changes) {
+			t.Fatalf("commit %d: %d changes, want %d", i, len(g.Changes), len(w.Changes))
+		}
+		for j, wc := range w.Changes {
+			gc := g.Changes[j]
+			if gc.Status != wc.Status || gc.Path != wc.Path || gc.OldPath != wc.OldPath {
+				t.Fatalf("commit %d change %d: %c %q %q, want %c %q %q", i, j, gc.Status, gc.Path, gc.OldPath, wc.Status, wc.Path, wc.OldPath)
+			}
+			gb, _ := got.Repo.ChangedContent(gc)
+			wb, _ := want.Repo.ChangedContent(wc)
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("commit %d change %d (%s): content differs", i, j, wc.Path)
+			}
+			paths[wc.Path] = true
+		}
+	}
+	for path := range paths {
+		gv, wv := got.Repo.FileVersions(path), want.Repo.FileVersions(path)
+		if len(gv) != len(wv) {
+			t.Fatalf("%s: %d versions, want %d", path, len(gv), len(wv))
+		}
+		for i := range wv {
+			if gv[i].Deleted != wv[i].Deleted || !bytes.Equal(gv[i].Content, wv[i].Content) {
+				t.Fatalf("%s version %d differs", path, i)
+			}
+		}
+	}
+}
+
+// FuzzDecodeProject: no input panics the replay decoder, and a script it
+// accepts is canonical — re-encoding the replayed project gives back the
+// identical bytes.
+func FuzzDecodeProject(f *testing.F) {
+	// tinyConfig's projects, cut to a few months so each script is a few
+	// KB: the fuzzer mutates and minimizes short inputs far faster.
+	cfg := tinyConfig(11)
+	for i := range cfg.Profiles {
+		cfg.Profiles[i].DurationMonths = [2]int{3, 4}
+	}
+	for idx, prof := range cfg.Profiles {
+		p, err := generateFresh(cfg, prof, idx)
+		if err != nil {
+			f.Fatal(err)
+		}
+		enc, err := encodeProject(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		for _, tampered := range tamperedScripts(p, enc) {
+			f.Add(tampered)
+		}
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		p, err := decodeProject(script)
+		if err != nil {
+			return
+		}
+		again, err := encodeProject(p)
+		if err != nil {
+			t.Fatalf("accepted script does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, script) {
+			t.Fatalf("accepted script re-encodes to different bytes (%d vs %d)", len(again), len(script))
+		}
+	})
+}
+
+// tamperedScripts returns two non-canonical forms of p's script that
+// replay the very same repository, so only the decoder's own checks can
+// reject them: the first commit's first change with its status rewritten
+// from A to M (no commit hash covers statuses), and the commit count as
+// an overlong varint.
+func tamperedScripts(p *Project, script []byte) [][]byte {
+	var e cache.Enc
+	e.String(p.Name)
+	e.Int(int64(p.Taxon))
+	e.String(p.DDLPath)
+	count := len(e.Bytes())
+	first := p.Repo.Log(vcs.LogOptions{Reverse: true})[0]
+	e.Uvarint(uint64(p.Repo.CommitCount()))
+	e.String(first.Commit.Message)
+	e.String(first.Commit.Author.Name)
+	e.String(first.Commit.Author.Email)
+	e.Time(first.Commit.Author.When)
+	e.Uvarint(uint64(len(first.Changes)))
+	status := len(e.Bytes())
+	if script[count] >= 0x80 || script[status] != byte(vcs.Added) {
+		return nil
+	}
+	restatus := bytes.Clone(script)
+	restatus[status] = byte(vcs.Modified)
+	overlong := append(append(bytes.Clone(script[:count]), script[count]|0x80, 0), script[count+1:]...)
+	return [][]byte{restatus, overlong}
 }

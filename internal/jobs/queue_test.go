@@ -401,3 +401,29 @@ func TestSubmitAfterClose(t *testing.T) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
+
+// TestCacheKeysFrozen pins the hex of a study and an ingest fingerprint.
+// Results memoized by any earlier build are addressed by these bytes, so
+// a change to the field sequence or framing must come with a
+// fingerprintStage bump.
+func TestCacheKeysFrozen(t *testing.T) {
+	study := Spec{Kind: KindStudy, Study: &StudySpec{Seed: 2023, PerTaxon: 2, CSV: true}}
+	ingest := Spec{Kind: KindIngest, Ingest: &IngestSpec{
+		GitLog: "commit 1\nAuthor: dev <dev@example.com>\n",
+		DDLVersions: map[string]string{
+			"2020-01-01":   "CREATE TABLE a (x INT);",
+			"2020-02-01.1": "CREATE TABLE a (x INT, y TEXT);",
+		},
+	}}
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{study, "589d6de04fa3a5220cc1a0fa9c75e19ec66d04004325a84fcd93847671c64b73"},
+		{ingest, "dfd1582e38d3f8c611ca67978a96b124f56240d7970e0b1f6d175fbcc382f9fe"},
+	} {
+		if got := c.spec.Fingerprint().String(); got != c.want {
+			t.Errorf("%s fingerprint = %s, want %s", c.spec.Kind, got, c.want)
+		}
+	}
+}

@@ -11,10 +11,11 @@ import (
 // commitBudget caps the average allocations of one modify-only commit:
 // two tracked files staged with new content and committed. Staging
 // copies into recycled buffers, blobs are carved from the arena and
-// hashed into reused scratch, and a single parent lives inline, so what
-// remains is the Commit itself and its name-status list (plus amortized
-// map, log and arena growth).
-const commitBudget = 4 // measured 2.0
+// hashed into reused scratch, a single parent lives inline, and the
+// Commit and its name-status list are carved from the repository's
+// slabs, so what remains is amortized map, log and chunk growth (a
+// Commit and a list allocated per commit took 2.0).
+const commitBudget = 1 // measured 0.0
 
 func TestCommitAllocBudget(t *testing.T) {
 	if race.Enabled {

@@ -183,6 +183,10 @@ type Repository struct {
 	blobOff     []int
 	// arena is the current chunk stored blobs are carved from.
 	arena []byte
+	// commitSlab and changeSlab are the current chunks Commit records and
+	// name-status lists are carved from; see carveCommitLocked.
+	commitSlab []Commit
+	changeSlab []FileChange
 	// freeStaged recycles stagedChange records, copy buffers included,
 	// across commits, and digest is the commit hasher reused under the
 	// write lock.
@@ -194,6 +198,16 @@ type Repository struct {
 // larger than a quarter chunk gets an allocation of its own, so a chunk
 // abandons less than a quarter of itself when the next blob does not fit.
 const blobChunk = 32 << 10
+
+// commitChunk and changeChunk are the capacities of the slab chunks
+// Commit records and name-status lists are carved from. The unused tail
+// of a repository's newest chunks is all the slabs retain beyond what its
+// commits need, so the chunks stay small: a few KiB, against one
+// allocation per dozens of commits.
+const (
+	commitChunk = 32
+	changeChunk = 64
+)
 
 type stagedChange struct {
 	content []byte // the staged bytes; unused for a deletion
@@ -217,6 +231,33 @@ func NewRepository(name string) *Repository {
 		current:   "main",
 		staged:    make(map[string]*stagedChange),
 	}
+}
+
+// carveCommitLocked returns a zeroed Commit carved from the commit slab.
+func (r *Repository) carveCommitLocked() *Commit {
+	if len(r.commitSlab) == cap(r.commitSlab) {
+		r.commitSlab = make([]Commit, 0, commitChunk)
+	}
+	r.commitSlab = r.commitSlab[:len(r.commitSlab)+1]
+	return &r.commitSlab[len(r.commitSlab)-1]
+}
+
+// changeRoomLocked returns an empty slice of the change slab with room for
+// n entries, so up to n appends write into the slab in place;
+// keepChangesLocked then claims what was appended.
+func (r *Repository) changeRoomLocked(n int) []FileChange {
+	if cap(r.changeSlab)-len(r.changeSlab) < n {
+		r.changeSlab = make([]FileChange, 0, max(changeChunk, n))
+	}
+	return r.changeSlab[len(r.changeSlab):]
+}
+
+// keepChangesLocked claims changes, appended into the room
+// changeRoomLocked returned, from the slab, capped at their length so an
+// append to one commit's list can never overwrite the next.
+func (r *Repository) keepChangesLocked(changes []FileChange) []FileChange {
+	r.changeSlab = r.changeSlab[:len(r.changeSlab)+len(changes)]
+	return changes[:len(changes):len(changes)]
 }
 
 // stageLocked returns the cleared staging record for path: the one
@@ -384,8 +425,10 @@ func (r *Repository) commit(message string, author Signature, extraParents ...Ha
 		return ok
 	}
 
+	// Every staged path yields at most one change, so the list never
+	// outgrows its room in the change slab.
 	keysChanged := false
-	changes := make([]FileChange, 0, len(r.staged))
+	changes := r.changeRoomLocked(len(r.staged))
 	var renamedFrom map[string]bool
 	for path, st := range r.staged {
 		if st.renamed == "" {
@@ -437,7 +480,8 @@ func (r *Repository) commit(message string, author Signature, extraParents ...Ha
 		changes[i].apply(wt)
 	}
 
-	c := &Commit{Author: author, Message: message, parent: parent, changes: changes}
+	c := r.carveCommitLocked()
+	c.Author, c.Message, c.parent, c.changes = author, message, parent, r.keepChangesLocked(changes)
 	parents := c.parentBuf[:0]
 	if parent != nil {
 		parents = append(parents, head)

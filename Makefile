@@ -71,10 +71,7 @@ FUZZTIME ?= 30s
 # FuzzParseLenient sweeps every dialect (plus Auto) per input.
 # FuzzPartialFiguresCodec hammers the sharded-study partial-figures
 # decoder: no panic on arbitrary bytes, canonical re-encoding idempotent.
-# FuzzDecodeProject feeds the cached-corpus replay decoder arbitrary
-# bytes: no panic, and an accepted script re-encodes to the same bytes.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParseLenient -fuzztime $(FUZZTIME) ./internal/sqlddl
 	$(GO) test -run NONE -fuzz FuzzCompare -fuzztime $(FUZZTIME) ./internal/schemadiff
 	$(GO) test -run NONE -fuzz FuzzPartialFiguresCodec -fuzztime $(FUZZTIME) ./internal/study
-	$(GO) test -run NONE -fuzz FuzzDecodeProject -fuzztime $(FUZZTIME) ./internal/corpus

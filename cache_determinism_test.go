@@ -7,6 +7,7 @@ package coevo_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -33,24 +34,65 @@ func cacheTestConfig(seed int64) coevo.CorpusConfig {
 	return cfg
 }
 
-// artifactHashes runs generate + analyze under the given cache and worker
-// count and returns the sha256 of every rendered artifact.
-func artifactHashes(t *testing.T, seed int64, workers int, c *coevo.Cache) map[string]string {
+// studyInput is one route from the test corpus to a dataset. perProject
+// is the number of cache entries each project stores on a cold run and
+// hits on a warm one: the materialized route memoizes the measure bundle
+// alone, while the stream also keys each generated project by its
+// generator inputs, so a warm stream generates nothing.
+type studyInput struct {
+	name       string
+	run        func(t *testing.T, cfg coevo.CorpusConfig, opts coevo.Options) *coevo.Dataset
+	perProject int64
+}
+
+var studyInputs = []studyInput{
+	{"materialized", func(t *testing.T, cfg coevo.CorpusConfig, opts coevo.Options) *coevo.Dataset {
+		projects, err := coevo.GenerateCorpus(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := coevo.AnalyzeCorpus(projects, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}, 1},
+	{"stream", func(t *testing.T, cfg coevo.CorpusConfig, opts coevo.Options) *coevo.Dataset {
+		var sink datasetSink
+		sum, err := coevo.StreamCorpus(context.Background(), coevo.NewCorpusSource(cfg), &sink, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.d.Failures = sum.Failures
+		return &sink.d
+	}, 2},
+}
+
+// datasetSink collects a stream's results in corpus order.
+type datasetSink struct{ d coevo.Dataset }
+
+func (s *datasetSink) Add(p *coevo.ProjectResult) error {
+	s.d.Projects = append(s.d.Projects, p)
+	return nil
+}
+
+// artifactHashes runs in under the given cache and worker count and
+// returns the sha256 of every rendered artifact, with the engine stages
+// the analysis tasks recorded.
+func artifactHashes(t *testing.T, in studyInput, seed int64, workers int, c *coevo.Cache) (map[string]string, map[string]bool) {
 	t.Helper()
 	cfg := cacheTestConfig(seed)
-	cfg.Cache = c
 	cfg.Exec.Workers = workers
-	projects, err := coevo.GenerateCorpus(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := coevo.DefaultOptions()
 	opts.Cache = c
 	opts.Exec.Workers = workers
-	d, err := coevo.AnalyzeCorpus(projects, opts)
-	if err != nil {
-		t.Fatal(err)
+	stages := map[string]bool{}
+	opts.Exec.OnEvent = func(e coevo.ExecEvent) { // the engine serializes events
+		for _, st := range e.Stages {
+			stages[st.Name] = true
+		}
 	}
+	d := in.run(t, cfg, opts)
 	if n := len(d.Failures); n != 0 {
 		t.Fatalf("%d projects failed: %+v", n, d.Failures)
 	}
@@ -62,7 +104,7 @@ func artifactHashes(t *testing.T, seed int64, workers int, c *coevo.Cache) map[s
 		}
 		hashes[name] = fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
 	}
-	return hashes
+	return hashes, stages
 }
 
 // corruptEveryEntry flips one payload byte in every entry of an on-disk
@@ -96,62 +138,65 @@ func corruptEveryEntry(t *testing.T, dir string) int {
 
 // TestStudyCacheByteIdentical: the golden differential harness. The
 // uncached run is the reference; cold-cache, warm-cache and
-// corrupted-cache runs must hash identically to it, at one worker and at
-// NumCPU workers.
+// corrupted-cache runs of every study input must hash identically to
+// it, at one worker and at NumCPU workers, and cost exactly the cache
+// traffic their memoized stages imply.
 func TestStudyCacheByteIdentical(t *testing.T) {
-	const seed = 2023
-	reference := artifactHashes(t, seed, 1, nil)
+	const seed, projects = 2023, 12
+	reference, _ := artifactHashes(t, studyInputs[0], seed, 1, nil)
 
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "cache")
+			for _, in := range studyInputs {
+				t.Run(in.name, func(t *testing.T) {
+					dir := filepath.Join(t.TempDir(), "cache")
+					entries := in.perProject * projects
 
-			cold, err := coevo.NewCache(coevo.CacheOptions{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := artifactHashes(t, seed, workers, cold); !hashesEqual(got, reference) {
-				t.Errorf("cold cache run differs from uncached reference:\n%v\n%v", got, reference)
-			}
-			if s := cold.Stats(); s.Puts == 0 {
-				t.Fatalf("cold run stored nothing: %s", s)
-			}
-			// A study memoizes exactly two stages: the 12-project corpus
-			// stores one generate replay and one measure bundle each.
-			const entries = 24
-			if s := cold.Stats(); s.Puts != entries {
-				t.Errorf("cold run stored %d entries, want %d: %s", s.Puts, entries, s)
-			}
+					cold, err := coevo.NewCache(coevo.CacheOptions{Dir: dir})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, _ := artifactHashes(t, in, seed, workers, cold); !hashesEqual(got, reference) {
+						t.Errorf("cold cache run differs from uncached reference:\n%v\n%v", got, reference)
+					}
+					if s := cold.Stats(); s.Puts != entries || s.Misses != entries || s.Hits != 0 {
+						t.Errorf("cold run: %d puts, %d misses, %d hits; want %d, %d and 0: %s",
+							s.Puts, s.Misses, s.Hits, entries, entries, s)
+					}
 
-			warm, err := coevo.NewCache(coevo.CacheOptions{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := artifactHashes(t, seed, workers, warm); !hashesEqual(got, reference) {
-				t.Errorf("warm cache run differs from uncached reference:\n%v\n%v", got, reference)
-			}
-			if s := warm.Stats(); s.Hits == 0 || s.DiskHits == 0 {
-				t.Fatalf("warm run never hit the disk store: %s", s)
-			}
-			if s := warm.Stats(); s.Hits != entries || s.Misses != 0 {
-				t.Errorf("warm run: %d hits and %d misses, want %d and 0: %s", s.Hits, s.Misses, entries, s)
-			}
+					warm, err := coevo.NewCache(coevo.CacheOptions{Dir: dir})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, stages := artifactHashes(t, in, seed, workers, warm)
+					if !hashesEqual(got, reference) {
+						t.Errorf("warm cache run differs from uncached reference:\n%v\n%v", got, reference)
+					}
+					if s := warm.Stats(); s.Hits != entries || s.DiskHits != entries || s.Misses != 0 || s.Puts != 0 {
+						t.Errorf("warm run: %d hits (%d disk), %d misses, %d puts; want %d from disk, 0 and 0: %s",
+							s.Hits, s.DiskHits, s.Misses, s.Puts, entries, s)
+					}
+					if in.name == "stream" && stages["generate"] {
+						t.Errorf("warm stream generated projects; stages %v", stages)
+					}
 
-			corruptEveryEntry(t, dir)
-			healed, err := coevo.NewCache(coevo.CacheOptions{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := artifactHashes(t, seed, workers, healed); !hashesEqual(got, reference) {
-				t.Errorf("corrupted cache run differs from uncached reference:\n%v\n%v", got, reference)
-			}
-			s := healed.Stats()
-			if s.Corrupt == 0 {
-				t.Errorf("corrupted entries never detected: %s", s)
-			}
-			if s.Hits > 0 && s.MemoryHits < s.Hits {
-				t.Errorf("corrupted run should only hit entries it rewrote itself: %s", s)
+					corruptEveryEntry(t, dir)
+					healed, err := coevo.NewCache(coevo.CacheOptions{Dir: dir})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, _ := artifactHashes(t, in, seed, workers, healed); !hashesEqual(got, reference) {
+						t.Errorf("corrupted cache run differs from uncached reference:\n%v\n%v", got, reference)
+					}
+					s := healed.Stats()
+					if s.Corrupt == 0 {
+						t.Errorf("corrupted entries never detected: %s", s)
+					}
+					if s.Hits > 0 && s.MemoryHits < s.Hits {
+						t.Errorf("corrupted run should only hit entries it rewrote itself: %s", s)
+					}
+				})
 			}
 		})
 	}
@@ -184,7 +229,6 @@ func TestFullStudyWarmCacheMatchesSerialGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := coevo.DefaultCorpusConfig(2023)
-		cfg.Cache = c
 		projects, err := coevo.GenerateCorpus(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -110,7 +110,6 @@ func runBench(ctx context.Context, args []string) error {
 	runOnce := func(mode string, workers int, c *cache.Cache) (caseRun, error) {
 		cfg := corpus.DefaultConfig(*seed)
 		cfg.Profiles = profiles
-		cfg.Cache = c
 		opts := study.DefaultOptions()
 		opts.Exec.Workers = workers
 		opts.Exec.OnEvent = sample

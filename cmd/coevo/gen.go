@@ -30,7 +30,6 @@ func runGen(ctx context.Context, args []string) (err error) {
 
 	cfg := corpus.DefaultConfig(*seed)
 	cfg.Exec = p.exec
-	cfg.Cache = p.cache
 	cfg.Obs = p.obs
 
 	type agg struct {

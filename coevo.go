@@ -73,10 +73,10 @@ type (
 	// ExecMetrics aggregates an event stream into latency/throughput
 	// metrics; see NewExecMetrics.
 	ExecMetrics = engine.Metrics
-	// Cache is the content-addressed result cache memoizing corpus
-	// generation and per-project measure bundles; set it on
-	// Options.Cache and CorpusConfig.Cache. Output is byte-identical with
-	// or without one.
+	// Cache is the content-addressed result cache memoizing per-project
+	// measure bundles, which StreamCorpus also finds by each generated
+	// project's generator inputs, so a warm stream generates nothing; set
+	// it on Options.Cache. Output is byte-identical with or without one.
 	Cache = cache.Cache
 	// CacheOptions configures a Cache; see NewCache.
 	CacheOptions = cache.Options

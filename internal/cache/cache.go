@@ -61,6 +61,8 @@ type Cache struct {
 	bytesWritten      atomic.Int64
 	// per-tier fall-throughs: lookups that consulted the tier and missed.
 	memMisses, diskMisses, remoteMisses atomic.Int64
+	// remote values that failed their digest (a subset of remoteMisses).
+	remoteCorrupt                       atomic.Int64
 	remoteBytesRead, remoteBytesWritten atomic.Int64
 }
 
@@ -140,6 +142,9 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) {
 		func(s Stats) int64 { return s.DiskMisses })
 	tier(obs.Label("coevo_cache_tier_misses_total", "tier", "remote"),
 		func(s Stats) int64 { return s.RemoteMisses })
+	reg.CounterFunc(obs.Label("coevo_cache_tier_corrupt_total", "tier", "remote"),
+		"Remote-tier values rejected (missing or wrong digest) and treated as misses.",
+		sample(func(s Stats) int64 { return s.RemoteCorrupt }))
 	reg.CounterFunc(obs.Label("coevo_cache_tier_read_bytes_total", "tier", "remote"),
 		"Value bytes fetched from the remote tier.",
 		sample(func(s Stats) int64 { return s.RemoteBytesRead }))
@@ -164,8 +169,9 @@ func (c *Cache) Dir() string {
 
 // Get looks a key up, front layer first. A disk hit is promoted into the
 // memory layer; a remote-tier hit is backfilled into both local layers,
-// so a value crosses the network at most once per process. The returned
-// slice must not be mutated.
+// so a value crosses the network at most once per process. A remote
+// value the tier could not verify is counted (RemoteCorrupt) and is a
+// miss. The returned slice must not be mutated.
 func (c *Cache) Get(key Key) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -196,7 +202,12 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 		c.diskMisses.Add(1)
 	}
 	if t := c.remoteTier(); t != nil {
-		if v, ok := t.Get(key); ok {
+		v, ok, corrupt := t.Get(key)
+		if corrupt {
+			c.remoteCorrupt.Add(1)
+			c.log.Warn("cache: unverified remote value rejected", "tier", t.Name(), "key", key.String())
+		}
+		if ok {
 			c.hits.Add(1)
 			c.remoteHits.Add(1)
 			c.remoteBytesRead.Add(int64(len(v)))
@@ -263,6 +274,10 @@ type Stats struct {
 	MemoryMisses int64 `json:"memory_misses"`
 	DiskMisses   int64 `json:"disk_misses"`
 	RemoteMisses int64 `json:"remote_misses,omitempty"`
+	// RemoteCorrupt counts the remote misses whose value arrived without
+	// its digest or failed it; such a value is never served or
+	// backfilled.
+	RemoteCorrupt int64 `json:"remote_corrupt,omitempty"`
 	// Remote-tier transfer volume (network bytes, as opposed to the disk
 	// BytesRead/BytesWritten above).
 	RemoteBytesRead    int64 `json:"remote_bytes_read,omitempty"`
@@ -291,6 +306,7 @@ func (s Stats) combine(o Stats, sign int64) Stats {
 		MemoryMisses:       s.MemoryMisses + sign*o.MemoryMisses,
 		DiskMisses:         s.DiskMisses + sign*o.DiskMisses,
 		RemoteMisses:       s.RemoteMisses + sign*o.RemoteMisses,
+		RemoteCorrupt:      s.RemoteCorrupt + sign*o.RemoteCorrupt,
 		RemoteBytesRead:    s.RemoteBytesRead + sign*o.RemoteBytesRead,
 		RemoteBytesWritten: s.RemoteBytesWritten + sign*o.RemoteBytesWritten,
 	}
@@ -320,8 +336,8 @@ func (s Stats) String() string {
 	line := fmt.Sprintf("%d hits (%d mem, %d disk), %d misses (%.0f%% hit rate), %d puts, %d corrupt healed, %d B read, %d B written",
 		s.Hits, s.MemoryHits, s.DiskHits, s.Misses, 100*s.HitRate(), s.Puts, s.Corrupt, s.BytesRead, s.BytesWritten)
 	if s.RemoteHits+s.RemoteMisses+s.RemoteBytesRead+s.RemoteBytesWritten > 0 {
-		line += fmt.Sprintf(", remote: %d hits, %d misses, %d B in, %d B out",
-			s.RemoteHits, s.RemoteMisses, s.RemoteBytesRead, s.RemoteBytesWritten)
+		line += fmt.Sprintf(", remote: %d hits, %d misses (%d corrupt), %d B in, %d B out",
+			s.RemoteHits, s.RemoteMisses, s.RemoteCorrupt, s.RemoteBytesRead, s.RemoteBytesWritten)
 	}
 	return line
 }
@@ -344,6 +360,7 @@ func (c *Cache) Stats() Stats {
 		MemoryMisses:       c.memMisses.Load(),
 		DiskMisses:         c.diskMisses.Load(),
 		RemoteMisses:       c.remoteMisses.Load(),
+		RemoteCorrupt:      c.remoteCorrupt.Load(),
 		RemoteBytesRead:    c.remoteBytesRead.Load(),
 		RemoteBytesWritten: c.remoteBytesWritten.Load(),
 	}

@@ -308,11 +308,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.Uvarint(300)
 	e.Int(-42)
 	e.Bool(true)
-	e.Blob([]byte("blob bytes"))
 	e.String("a string")
 	e.Float(3.5)
 	e.Time(ts)
-	e.Blob(nil)
+	e.String("")
 
 	d := NewDec(e.Bytes())
 	if v := d.Uvarint(); v != 300 {
@@ -324,9 +323,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	if !d.Bool() {
 		t.Error("Bool = false")
 	}
-	if v := d.Blob(); string(v) != "blob bytes" {
-		t.Errorf("Blob = %q", v)
-	}
 	if v := d.String(); v != "a string" {
 		t.Errorf("String = %q", v)
 	}
@@ -336,8 +332,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	if v := d.Time(); !v.Equal(ts) {
 		t.Errorf("Time = %v", v)
 	}
-	if v := d.Blob(); len(v) != 0 {
-		t.Errorf("empty Blob = %q", v)
+	if v := d.String(); v != "" {
+		t.Errorf("empty String = %q", v)
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
@@ -353,15 +349,15 @@ func TestCodecFailures(t *testing.T) {
 	if d.Err() == nil {
 		t.Error("trailing bytes accepted")
 	}
-	// Truncated blob fails and stays failed (sticky error).
+	// A truncated string fails and stays failed (sticky error).
 	var e2 Enc
-	e2.Blob([]byte("0123456789"))
+	e2.String("0123456789")
 	d2 := NewDec(e2.Bytes()[:4])
-	if v := d2.Blob(); v != nil {
-		t.Errorf("truncated blob = %q", v)
+	if v := d2.String(); v != "" {
+		t.Errorf("truncated string = %q", v)
 	}
 	if d2.Err() == nil {
-		t.Error("truncated blob accepted")
+		t.Error("truncated string accepted")
 	}
 	if v := d2.Int(); v != 0 {
 		t.Errorf("read after failure = %d", v)
@@ -371,28 +367,6 @@ func TestCodecFailures(t *testing.T) {
 	d3.Bool()
 	if d3.Err() == nil {
 		t.Error("bad bool byte accepted")
-	}
-}
-
-// TestDecBlobIsCappedView: Blob copies nothing, and its result is capped
-// at its length, so an append to it copies instead of overwriting the
-// next field of the value.
-func TestDecBlobIsCappedView(t *testing.T) {
-	var e Enc
-	e.Blob([]byte("first"))
-	e.String("next")
-	value := e.Copy()
-	d := NewDec(value)
-	b := d.Blob()
-	if string(b) != "first" || cap(b) != len(b) {
-		t.Fatalf("Blob = %q with cap %d, want \"first\" with cap 5", b, cap(b))
-	}
-	if &b[0] != &value[1] {
-		t.Error("Blob copied the value instead of returning a view of it")
-	}
-	_ = append(b, "XXXX"...)
-	if s := d.String(); s != "next" || d.Err() != nil {
-		t.Errorf("after appending to the blob, next field = %q (%v)", s, d.Err())
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // Enc is an append-only binary encoder for cache values: varint-framed,
-// deterministic, with no reflection. Stage codecs (schema, delta, corpus
-// project) build on it so their wire format stays explicit and versioned
-// by the stage string of the key.
+// deterministic, with no reflection. Stage codecs build on it so their
+// wire format stays explicit and versioned by the stage string of the
+// key.
 type Enc struct {
 	buf []byte
 }
@@ -33,9 +33,9 @@ func (e *Enc) Copy() []byte {
 	return p
 }
 
-// encPool amortizes encoder buffers across the hot per-version codec
-// paths (schema, delta, measure bundles). Steady-state encoding then
-// allocates only the final Copy handed to the cache.
+// encPool amortizes encoder buffers across encodes (measure bundles,
+// partial figures). Steady-state encoding then allocates only the final
+// Copy handed to the cache.
 var encPool = sync.Pool{New: func() any { return new(Enc) }}
 
 // GetEnc returns an empty pooled encoder. Release it with PutEnc once
@@ -63,12 +63,6 @@ func (e *Enc) Bool(v bool) {
 		b = 1
 	}
 	e.buf = append(e.buf, b)
-}
-
-// Blob appends a length-prefixed byte slice.
-func (e *Enc) Blob(p []byte) {
-	e.Uvarint(uint64(len(p)))
-	e.buf = append(e.buf, p...)
 }
 
 // String appends a length-prefixed string.
@@ -170,25 +164,6 @@ func (d *Dec) Bool() bool {
 	v := d.buf[0] == 1
 	d.buf = d.buf[1:]
 	return v
-}
-
-// Blob reads a length-prefixed byte slice. It copies nothing: the result
-// is a view of the value NewDec was given, valid only while that value
-// is and never to be modified. Its capacity is its length, so appending
-// to it copies instead of overwriting the next field. A caller that
-// keeps the bytes beyond the decode copies them.
-func (d *Dec) Blob() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(len(d.buf)) < n {
-		d.fail("blob length")
-		return nil
-	}
-	out := d.buf[:n:n]
-	d.buf = d.buf[n:]
-	return out
 }
 
 // String reads a length-prefixed string.

@@ -5,11 +5,14 @@
 // sits strictly behind the local layers: a lookup consults it only
 // after both local layers miss, a remote hit is backfilled locally, and
 // every Put writes through, so the coordinator's store converges to the
-// union of what every shard computed.
+// union of what every shard computed. A remote value crosses the network
+// with its sha256, and one that arrives without it or does not match it
+// is a miss: it is never served and never backfilled.
 package cache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -26,8 +29,10 @@ import (
 type Tier interface {
 	// Name labels the tier in metrics and logs (e.g. "remote").
 	Name() string
-	// Get returns the value stored under key, or ok=false.
-	Get(key Key) ([]byte, bool)
+	// Get returns the value stored under key, or ok=false. corrupt
+	// reports a value the tier received but could not verify; it is a
+	// miss, never served.
+	Get(key Key) (value []byte, ok, corrupt bool)
 	// Put stores value under key, best-effort.
 	Put(key Key, value []byte)
 }
@@ -56,10 +61,22 @@ func (c *Cache) remoteTier() Tier {
 // memory.
 const maxRemoteValue = 64 << 20
 
+// digestHeader carries a value's hex sha256 over the remote cache
+// protocol, in both directions: the transport is outside every local
+// checksum, so each side verifies what it receives before keeping it.
+const digestHeader = "Coevo-Value-Sha256"
+
+// valueDigest is the digestHeader value for v.
+func valueDigest(v []byte) string {
+	sum := sha256.Sum256(v)
+	return hex.EncodeToString(sum[:])
+}
+
 // HTTPTier is the client side of the remote cache protocol: values live
-// at <base>/<hex-key>, GET reads (200 hit / 404 miss), PUT writes. Any
-// transport or protocol error degrades to a miss and is counted, never
-// surfaced — the pipeline recomputes and carries on.
+// at <base>/<hex-key>, GET reads (200 hit / 404 miss), PUT writes, and
+// every value travels with its digestHeader. Any transport or protocol
+// error degrades to a miss and is counted, never surfaced — the pipeline
+// recomputes and carries on.
 type HTTPTier struct {
 	base   string
 	client *http.Client
@@ -83,30 +100,34 @@ func (t *HTTPTier) Name() string { return "remote" }
 // misses/no-ops).
 func (t *HTTPTier) Errors() int64 { return t.errors.Load() }
 
-// Get implements Tier.
-func (t *HTTPTier) Get(key Key) ([]byte, bool) {
+// Get implements Tier. A value whose digestHeader is missing or does not
+// match its bytes comes back corrupt.
+func (t *HTTPTier) Get(key Key) (value []byte, ok, corrupt bool) {
 	resp, err := t.client.Get(t.base + "/" + key.String())
 	if err != nil {
 		t.errors.Add(1)
-		return nil, false
+		return nil, false, false
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
 	if resp.StatusCode == http.StatusNotFound {
-		return nil, false
+		return nil, false, false
 	}
 	if resp.StatusCode != http.StatusOK {
 		t.errors.Add(1)
-		return nil, false
+		return nil, false, false
 	}
 	v, err := io.ReadAll(io.LimitReader(resp.Body, maxRemoteValue+1))
 	if err != nil || len(v) > maxRemoteValue {
 		t.errors.Add(1)
-		return nil, false
+		return nil, false, false
 	}
-	return v, true
+	if resp.Header.Get(digestHeader) != valueDigest(v) {
+		return nil, false, true
+	}
+	return v, true, false
 }
 
 // Put implements Tier.
@@ -117,6 +138,7 @@ func (t *HTTPTier) Put(key Key, value []byte) {
 		return
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set(digestHeader, valueDigest(value))
 	resp, err := t.client.Do(req)
 	if err != nil {
 		t.errors.Add(1)
@@ -132,7 +154,9 @@ func (t *HTTPTier) Put(key Key, value []byte) {
 // TierHandler serves c over the remote cache protocol — the server side
 // of HTTPTier, mounted by the shard coordinator at /cache. The handler
 // never lists or enumerates: a peer can only read values whose
-// content-addressed key it already holds.
+// content-addressed key it already holds. It sends every value with its
+// digestHeader and stores a PUT only when the body matches the one it
+// came with (400 otherwise).
 func TierHandler(c *Cache) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		key, err := parseTierKey(r.URL.Path)
@@ -148,6 +172,7 @@ func TierHandler(c *Cache) http.Handler {
 				return
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set(digestHeader, valueDigest(v))
 			w.Write(v)
 		case http.MethodPut, http.MethodPost:
 			v, err := io.ReadAll(io.LimitReader(r.Body, maxRemoteValue+1))
@@ -157,6 +182,10 @@ func TierHandler(c *Cache) http.Handler {
 			}
 			if len(v) > maxRemoteValue {
 				http.Error(w, "value too large", http.StatusRequestEntityTooLarge)
+				return
+			}
+			if r.Header.Get(digestHeader) != valueDigest(v) {
+				http.Error(w, "missing or wrong "+digestHeader, http.StatusBadRequest)
 				return
 			}
 			c.Put(key, v)

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -85,7 +86,7 @@ func TestHTTPTierFailuresDegradeToMiss(t *testing.T) {
 	}))
 	defer srv.Close()
 	tier := NewHTTPTier(srv.URL)
-	if _, ok := tier.Get(tierKey("x")); ok {
+	if _, ok, _ := tier.Get(tierKey("x")); ok {
 		t.Fatal("500 should read as a miss")
 	}
 	tier.Put(tierKey("x"), []byte("v"))
@@ -96,7 +97,7 @@ func TestHTTPTierFailuresDegradeToMiss(t *testing.T) {
 	// A dead endpoint behaves the same way.
 	srv.Close()
 	dead := NewHTTPTier(srv.URL)
-	if _, ok := dead.Get(tierKey("x")); ok {
+	if _, ok, _ := dead.Get(tierKey("x")); ok {
 		t.Fatal("transport error should read as a miss")
 	}
 	if errs := dead.Errors(); errs == 0 {
@@ -105,34 +106,105 @@ func TestHTTPTierFailuresDegradeToMiss(t *testing.T) {
 }
 
 // TestTierHandlerProtocol pins the server side: hex-keyed GET/PUT, 404
-// misses, 400 malformed keys, 405 other methods, 413 oversize values.
+// misses, 400 malformed keys and unverified PUT bodies, 405 other
+// methods, 413 oversize values, and every value served with its digest.
 func TestTierHandlerProtocol(t *testing.T) {
 	c := NewMemory()
 	h := TierHandler(c)
 	key := tierKey("p")
 
-	do := func(method, path string, body []byte) *httptest.ResponseRecorder {
+	do := func(method, path string, body []byte, digest string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		if digest != "" {
+			req.Header.Set(digestHeader, digest)
+		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		return rec
 	}
 
-	if rec := do(http.MethodGet, "/cache/"+key.String(), nil); rec.Code != http.StatusNotFound {
+	if rec := do(http.MethodGet, "/cache/"+key.String(), nil, ""); rec.Code != http.StatusNotFound {
 		t.Fatalf("GET absent = %d, want 404", rec.Code)
 	}
-	if rec := do(http.MethodPut, "/cache/"+key.String(), []byte("v")); rec.Code != http.StatusNoContent {
+	for _, digest := range []string{"", valueDigest([]byte("w"))} {
+		if rec := do(http.MethodPut, "/cache/"+key.String(), []byte("v"), digest); rec.Code != http.StatusBadRequest {
+			t.Fatalf("PUT with digest %q = %d, want 400", digest, rec.Code)
+		}
+	}
+	if _, ok := c.Get(key); ok {
+		t.Fatal("an unverified PUT was stored")
+	}
+	if rec := do(http.MethodPut, "/cache/"+key.String(), []byte("v"), valueDigest([]byte("v"))); rec.Code != http.StatusNoContent {
 		t.Fatalf("PUT = %d, want 204", rec.Code)
 	}
-	rec := do(http.MethodGet, "/cache/"+key.String(), nil)
+	rec := do(http.MethodGet, "/cache/"+key.String(), nil, "")
 	if rec.Code != http.StatusOK || rec.Body.String() != "v" {
 		t.Fatalf("GET = %d %q, want 200 \"v\"", rec.Code, rec.Body.String())
 	}
-	if rec := do(http.MethodGet, "/cache/not-hex", nil); rec.Code != http.StatusBadRequest {
+	if got, want := rec.Header().Get(digestHeader), valueDigest([]byte("v")); got != want {
+		t.Fatalf("GET %s = %q, want %q", digestHeader, got, want)
+	}
+	if rec := do(http.MethodGet, "/cache/not-hex", nil, ""); rec.Code != http.StatusBadRequest {
 		t.Fatalf("malformed key = %d, want 400", rec.Code)
 	}
-	if rec := do(http.MethodDelete, "/cache/"+key.String(), nil); rec.Code != http.StatusMethodNotAllowed {
+	if rec := do(http.MethodDelete, "/cache/"+key.String(), nil, ""); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE = %d, want 405", rec.Code)
+	}
+}
+
+// tamper serves h with f applied to the header and body of every GET
+// response that carries a value: a value changed in transit.
+func tamper(h http.Handler, f func(http.Header, []byte)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if r.Method == http.MethodGet && len(body) > 0 {
+			f(rec.Header(), body)
+		}
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	})
+}
+
+// TestRemoteValuesAreVerified: a remote value whose digest is wrong (one
+// body byte flipped in transit) or missing is a counted miss. It is never
+// served and never backfilled into memory or onto disk, so the next
+// lookup asks the tier again.
+func TestRemoteValuesAreVerified(t *testing.T) {
+	origin := NewMemory()
+	key := tierKey("k")
+	origin.Put(key, []byte("a measure bundle"))
+	for name, f := range map[string]func(http.Header, []byte){
+		"flipped byte":   func(_ http.Header, body []byte) { body[len(body)-1] ^= 0x01 },
+		"missing digest": func(h http.Header, _ []byte) { h.Del(digestHeader) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(tamper(TierHandler(origin), f))
+			defer srv.Close()
+			local, err := New(Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tier := NewHTTPTier(srv.URL)
+			local.SetRemote(tier)
+			for i := 1; i <= 2; i++ {
+				if v, ok := local.Get(key); ok {
+					t.Fatalf("lookup %d served an unverified value %q", i, v)
+				}
+			}
+			s := local.Stats()
+			if s.RemoteCorrupt != 2 || s.RemoteMisses != 2 || s.Misses != 2 || s.Hits != 0 || s.RemoteHits != 0 {
+				t.Errorf("stats after two rejected values: %+v", s)
+			}
+			if size, err := local.Size(); err != nil || size.Entries != 0 {
+				t.Errorf("disk store after rejected values = %+v, %v; want empty", size, err)
+			}
+			if errs := tier.Errors(); errs != 0 {
+				t.Errorf("tier errors = %d, want 0: a corrupt value is not a transport error", errs)
+			}
+		})
 	}
 }
 

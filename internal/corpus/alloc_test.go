@@ -32,39 +32,6 @@ func TestGenerateProjectAllocBudget(t *testing.T) {
 	t.Logf("generate allocs/op: %.0f", avg)
 }
 
-// decodeBudget caps the allocations of replaying the same project from
-// its cached script, change-list and head-hash checks included. Blobs
-// are staged from views of the value, paths and signatures are interned
-// once per project, and commits and change lists are carved from the
-// repository's slabs, so what remains is one message per commit plus the
-// repository's own maps and chunks. Copying every field out of the value
-// took 1,905.
-const decodeBudget = 400 // measured 297
-
-func TestDecodeProjectAllocBudget(t *testing.T) {
-	if race.Enabled {
-		t.Skip("AllocsPerRun accounting is distorted under the race detector")
-	}
-	cfg := DefaultConfig(2023)
-	p, err := generateFresh(cfg, cfg.Profiles[1], 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := encodeProject(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		if _, err := decodeProject(enc); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > decodeBudget {
-		t.Errorf("replaying %s allocates %.0f/op, budget %d", p.Name, avg, decodeBudget)
-	}
-	t.Logf("decode allocs/op: %.0f", avg)
-}
-
 // lineChurnBudget caps the allocations of one line-churn extraction
 // (history.ExtractProjectHistoryWithLines) over a freshly generated
 // project — project 194 of the seed-2023 corpus, the 848-commit ACTIVE

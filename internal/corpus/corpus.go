@@ -192,10 +192,12 @@ type Config struct {
 	// workload fail-fast regardless of Exec.Policy.
 	Exec engine.Options
 
-	// Cache, when non-nil, memoizes whole generated repositories in the
-	// content-addressed result cache, keyed by the generation inputs; a
-	// warm hit replays the stored commit script through the vcs substrate,
-	// reproducing the repository bit-for-bit (see replay.go).
+	// Cache is not read: generated repositories are not cached. A study
+	// with study.Options.Cache set looks each project's result up by its
+	// generator inputs (Spec.Fold) and generates only on a miss.
+	//
+	// Deprecated: set study.Options.Cache instead; this field has no
+	// effect.
 	Cache *cache.Cache
 
 	// Obs, when non-nil, traces generation as a "generate" span (with

@@ -1,9 +1,11 @@
 package corpus
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"coevo/internal/cache"
 	"coevo/internal/history"
 	"coevo/internal/schema"
 	"coevo/internal/schemadiff"
@@ -240,5 +242,86 @@ func TestCommitDatesMonotonic(t *testing.T) {
 				t.Fatalf("%s: commit %d predates its parent", p.Name, i)
 			}
 		}
+	}
+}
+
+// TestClaimedSpecsGenerateTheCorpus: generating the specs a Source hands
+// out reproduces the corpus Generate returns, name, taxon and head hash,
+// and a spec names its project before generating it.
+func TestClaimedSpecsGenerateTheCorpus(t *testing.T) {
+	cfg := smallConfig(5)
+	want, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSource(cfg)
+	for i := 0; ; i++ {
+		sp, local, ok := src.Claim()
+		if !ok {
+			if i != len(want) {
+				t.Fatalf("claimed %d specs, want %d", i, len(want))
+			}
+			break
+		}
+		if local != i {
+			t.Fatalf("claim %d: local index %d", i, local)
+		}
+		p, err := sp.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := want[i]
+		if sp.Name() != w.Name || sp.Taxon() != w.Taxon {
+			t.Errorf("spec %d names %s (%s), want %s (%s)", i, sp.Name(), sp.Taxon(), w.Name, w.Taxon)
+		}
+		if p.Name != w.Name || p.Taxon != w.Taxon || p.DDLPath != w.DDLPath || p.Repo.Head().Hash != w.Repo.Head().Hash {
+			t.Errorf("spec %d generated %s %s at %s, want %s %s at %s", i,
+				p.Name, p.DDLPath, p.Repo.Head().Hash, w.Name, w.DDLPath, w.Repo.Head().Hash)
+		}
+	}
+	if p, err := src.Next(context.Background()); p != nil || err != nil {
+		t.Errorf("Next after the last claim = %v, %v; want nil, nil", p, err)
+	}
+}
+
+// TestProjectKeySensitivity: every generation input participates in
+// Spec.Fold, and so in every key that stands for a generated project.
+func TestProjectKeySensitivity(t *testing.T) {
+	key := func(cfg Config, prof Profile, idx int) cache.Key {
+		h := cache.NewHasher("test")
+		Spec{cfg: &cfg, prof: prof, idx: idx}.Fold(h)
+		return h.Sum()
+	}
+	cfg := smallConfig(1)
+	base := key(cfg, cfg.Profiles[1], 3)
+	if key(cfg, cfg.Profiles[1], 3) != base {
+		t.Error("key not deterministic")
+	}
+	if key(cfg, cfg.Profiles[1], 4) == base {
+		t.Error("index not keyed")
+	}
+	if key(cfg, cfg.Profiles[2], 3) == base {
+		t.Error("profile not keyed")
+	}
+	cfg2 := smallConfig(2)
+	if key(cfg2, cfg2.Profiles[1], 3) == base {
+		t.Error("seed not keyed")
+	}
+	cfg3 := smallConfig(1)
+	cfg3.StartSpreadMonths = 12
+	if key(cfg3, cfg3.Profiles[1], 3) == base {
+		t.Error("start spread not keyed")
+	}
+	cfg4 := smallConfig(1)
+	prof := cfg4.Profiles[1]
+	prof.LateBirthProb += 0.01
+	if key(cfg4, prof, 3) == base {
+		t.Error("profile float field not keyed")
+	}
+	prof = cfg4.Profiles[1]
+	prof.SchemaShapes = append([]ShapeWeight(nil), prof.SchemaShapes...)
+	prof.SchemaShapes[0].Weight += 0.01
+	if key(cfg4, prof, 3) == base {
+		t.Error("shape weights not keyed")
 	}
 }

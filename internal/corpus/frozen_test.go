@@ -5,14 +5,16 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+
+	"coevo/internal/cache"
 )
 
 // frozenHeads are the head hashes of the first three projects of the
 // seed-2023 study corpus, and frozenCorpusDigest is the sha256 over every
 // commit hash of that corpus, one "%s\n" line per commit in corpus and
-// creation order. Cached replays verify themselves by head hash, so a
-// change to either value is a change to the generator's output and must
-// come with a GenerateStage bump.
+// creation order. A change to either value is a change to the
+// generator's output and must come with a GenerateStage bump, which every
+// cache key standing for a generated project folds.
 var frozenHeads = []string{
 	"45d316c386ea25ad6438b74f6a7dc94afb26cc773d19d38f0b80af3528c5ac39",
 	"b356dc3048831ec52c2ca82de018ab6a4d8923de32046bc1055cbe67da89f3c5",
@@ -50,15 +52,23 @@ func TestCommitHashesFrozen(t *testing.T) {
 	}
 }
 
-// frozenProjectKey is the generation-stage cache key of project 40 of the
-// seed-2023 corpus (profile 1). Caches written by any earlier build are
-// addressed by these bytes, so a change to the key's field sequence or
-// framing must come with a GenerateStage bump.
-const frozenProjectKey = "5d35e6adee88b17ad24e5d44548d56aa5c3a2f342a714c7610df0131ec5ce423"
+// frozenSpecKey is the key of project 40 of the seed-2023 corpus
+// (profile 1) as Spec.Fold frames it under frozenSpecStage. Every cache
+// key that stands for a generated project folds these bytes, so a change
+// to Fold's field sequence or framing must come with a GenerateStage bump.
+const (
+	frozenSpecStage = "corpus/spec"
+	frozenSpecKey   = "a5d13f4546ee5bb19ffb0c9988582150b477c5dc0b71b768ff0b2bc9f37ccb78"
+)
 
 func TestCacheKeysFrozen(t *testing.T) {
-	cfg := DefaultConfig(2023)
-	if got := projectKey(cfg, cfg.Profiles[1], 40).String(); got != frozenProjectKey {
-		t.Errorf("projectKey(seed 2023, profile 1, 40) = %s, want %s", got, frozenProjectKey)
+	sp := NewSource(DefaultConfig(2023)).specs[40]
+	if sp.prof.Taxon != DefaultProfiles()[1].Taxon {
+		t.Fatalf("project 40 has taxon %s, want profile 1's %s", sp.prof.Taxon, DefaultProfiles()[1].Taxon)
+	}
+	h := cache.NewHasher(frozenSpecStage)
+	sp.Fold(h)
+	if got := h.Sum().String(); got != frozenSpecKey {
+		t.Errorf("Spec.Fold(seed 2023, profile 1, 40) = %s, want %s", got, frozenSpecKey)
 	}
 }

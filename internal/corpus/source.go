@@ -12,14 +12,67 @@ import (
 	"sync"
 	"time"
 
+	"coevo/internal/cache"
 	"coevo/internal/engine"
+	"coevo/internal/taxa"
 )
 
-// genSpec pins one project's generation inputs: its profile and its
-// corpus index (which seeds the project's private rand source).
-type genSpec struct {
+// GenerateStage versions the generator's output. Bump it whenever the
+// project generated for a given configuration changes; every cache key
+// that stands for a generated project folds it in (Spec.Fold).
+const GenerateStage = "corpus/generate/v1"
+
+// Spec is one project's generator inputs as a Source hands them out: the
+// corpus-wide knobs, the taxon profile and the global corpus index that
+// seeds the project's private rand source. Generation is a pure function
+// of a spec, so a spec stands for its project before it exists.
+type Spec struct {
+	cfg  *Config
 	prof Profile
 	idx  int
+}
+
+// Name is the name the generated repository carries.
+func (sp Spec) Name() string { return ProjectName(sp.idx) }
+
+// Taxon is the taxon the generator aims for.
+func (sp Spec) Taxon() taxa.Taxon { return sp.prof.Taxon }
+
+// Generate materializes the project, bit-for-bit the one Generate
+// returns at its index.
+func (sp Spec) Generate() (*Project, error) {
+	p, err := generateFresh(*sp.cfg, sp.prof, sp.idx)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: project %d (%s): %w", sp.idx, sp.prof.Taxon, err)
+	}
+	return p, nil
+}
+
+// Fold folds GenerateStage and every input Generate reads into h: the
+// corpus-wide knobs and the complete per-taxon profile.
+func (sp Spec) Fold(h *cache.Hasher) {
+	cfg, prof := sp.cfg, sp.prof
+	h.String(GenerateStage)
+	h.Int(cfg.Seed)
+	h.Time(cfg.Epoch)
+	h.Int(int64(cfg.StartSpreadMonths))
+	h.Int(int64(sp.idx))
+	h.Int(int64(prof.Taxon))
+	h.Int(int64(prof.DurationMonths[0])).Int(int64(prof.DurationMonths[1]))
+	h.Int(int64(prof.InitialTables[0])).Int(int64(prof.InitialTables[1]))
+	h.Int(int64(prof.AttrsPerTable[0])).Int(int64(prof.AttrsPerTable[1]))
+	h.Int(int64(prof.PostBirthUnits[0])).Int(int64(prof.PostBirthUnits[1]))
+	for _, set := range [][]ShapeWeight{prof.SchemaShapes, prof.SourceShapes} {
+		h.Int(int64(len(set)))
+		for _, w := range set {
+			h.Int(int64(w.Shape))
+			h.Float(w.Weight)
+		}
+	}
+	h.Float(prof.LateBirthProb)
+	h.Float(prof.CoupleProb)
+	h.Int(int64(prof.CommitsPerActiveMonth[0])).Int(int64(prof.CommitsPerActiveMonth[1]))
+	h.Int(int64(prof.FilesPerCommit[0])).Int(int64(prof.FilesPerCommit[1]))
 }
 
 // Source generates the corpus described by a Config lazily, in corpus
@@ -28,10 +81,11 @@ type genSpec struct {
 // (the engine's workers) generate in parallel while the corpus as a
 // whole is never resident. The projects produced are bit-for-bit the
 // ones Generate returns — each seeds its own rand source from the corpus
-// seed and its index, independent of who generates it when.
+// seed and its index, independent of who generates it when. Claim hands
+// out the next spec alone, for callers that decide whether to generate.
 type Source struct {
 	cfg   Config
-	specs []genSpec
+	specs []Spec
 
 	mu   sync.Mutex
 	next int
@@ -49,13 +103,13 @@ func NewSource(cfg Config) *Source {
 	if cfg.StartSpreadMonths <= 0 {
 		cfg.StartSpreadMonths = 72
 	}
-	var specs []genSpec
+	s := &Source{cfg: cfg}
 	for _, prof := range cfg.Profiles {
 		for i := 0; i < prof.Count; i++ {
-			specs = append(specs, genSpec{prof: prof, idx: len(specs)})
+			s.specs = append(s.specs, Spec{cfg: &s.cfg, prof: prof, idx: len(s.specs)})
 		}
 	}
-	return &Source{cfg: cfg, specs: specs}
+	return s
 }
 
 // Len is the total number of projects the source will produce.
@@ -73,7 +127,7 @@ func (s *Source) Partition(shard, of int) (*Source, error) {
 	if of <= 0 || shard < 0 || shard >= of {
 		return nil, fmt.Errorf("corpus: invalid partition %d/%d", shard, of)
 	}
-	specs := make([]genSpec, 0, (len(s.specs)+of-1)/of)
+	specs := make([]Spec, 0, (len(s.specs)+of-1)/of)
 	for _, sp := range s.specs {
 		if sp.idx%of == shard {
 			specs = append(specs, sp)
@@ -104,43 +158,40 @@ func (s *Source) Next(ctx context.Context) (*Project, error) {
 	return p, nil
 }
 
-// Indexed exposes the source in the execution engine's indexed form, for
-// engine.Stream: same lazy generation, with each project tagged by its
-// corpus index so the re-sequencer can restore corpus order.
-func (s *Source) Indexed() engine.Source[*Project] { return indexedSource{s} }
-
-type indexedSource struct{ s *Source }
-
-// Next implements engine.Source.
-func (is indexedSource) Next(ctx context.Context) (*Project, int, bool, error) {
-	return is.s.claimAndGenerate(ctx)
+// Claim takes the next project's spec without generating it, with its
+// source-local dense index; ok is false once the corpus is exhausted.
+// Safe for concurrent use.
+func (s *Source) Claim() (sp Spec, local int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.next >= len(s.specs) {
+		return Spec{}, 0, false
+	}
+	local = s.next
+	s.next++
+	return s.specs[local], local, true
 }
 
-// claimAndGenerate claims the next local position under the lock and
-// generates outside it. Generation runs inside the caller's context, so
-// under the engine the work lands in the claiming task's "generate"
-// stage timing. The returned index is the source-local dense position —
-// the engine's re-sequencer requires dense 0-based indices — while the
-// project itself is seeded by its global corpus index, so a partitioned
-// source still generates globally-identical projects.
+// claimAndGenerate claims the next spec and generates it outside the
+// lock: the source in the engine's indexed form. Generation runs inside
+// the caller's context, so under the engine the work lands in the
+// claiming task's "generate" stage timing. The returned index is the
+// source-local dense position — the engine's re-sequencer requires dense
+// 0-based indices — while the project itself is seeded by its global
+// corpus index, so a partitioned source still generates
+// globally-identical projects.
 func (s *Source) claimAndGenerate(ctx context.Context) (*Project, int, bool, error) {
-	s.mu.Lock()
-	if s.next >= len(s.specs) {
-		s.mu.Unlock()
+	sp, local, ok := s.Claim()
+	if !ok {
 		return nil, 0, false, nil
 	}
-	local := s.next
-	sp := s.specs[local]
-	s.next++
-	s.mu.Unlock()
-
 	if err := ctx.Err(); err != nil {
 		return nil, 0, false, err
 	}
 	engine.Stage(ctx, "generate")
-	p, err := generateProjectCached(s.cfg, sp.prof, sp.idx)
+	p, err := sp.Generate()
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("corpus: project %d (%s): %w", sp.idx, sp.prof.Taxon, err)
+		return nil, 0, false, err
 	}
 	return p, local, true, nil
 }
@@ -170,7 +221,7 @@ func EachContext(ctx context.Context, cfg Config, visit func(*Project) error) (i
 	begin := time.Now()
 	s.cfg.Obs.Logger().Info("corpus: generating", "projects", s.Len(), "seed", s.cfg.Seed)
 	var n int
-	_, err := engine.Stream(ctx, s.Indexed(),
+	_, err := engine.Stream(ctx, engine.SourceFunc[*Project](s.claimAndGenerate),
 		func(_ context.Context, _ int, p *Project) (*Project, error) { return p, nil },
 		func(_ int, p *Project) error { n++; return visit(p) },
 		engine.StreamOptions{Options: eopts, Total: s.Len()})

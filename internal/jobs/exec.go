@@ -26,12 +26,14 @@ import (
 )
 
 // Executor turns specs into results. One Executor serves every job the
-// queue runs; its cache is the cross-job dedup plane — the study's two
-// memoized stages (corpus generation and per-project measure bundles)
-// and the whole rendered result are content-addressed in it, so a
-// duplicate submission from any tenant is a lookup, not an analysis.
+// queue runs; its cache is the cross-job dedup plane — per-project
+// measure bundles, the project entries that find a generated project's
+// bundle by its generator inputs, and the whole rendered result are
+// content-addressed in it, so a duplicate submission from any tenant is
+// a lookup, not an analysis.
 type Executor struct {
-	// Cache, when non-nil, memoizes the study's stages and whole results.
+	// Cache, when non-nil, memoizes per-project results (bundles and
+	// project entries) and whole job results.
 	Cache *cache.Cache
 	// Obs observes execution (nil-safe).
 	Obs *obs.Observer
@@ -110,7 +112,6 @@ func (e *Executor) runStudy(ctx context.Context, j *Job, rep RunReport, metrics 
 	opts.History.Dialect = specDialect(spec.Dialect)
 
 	cfg := studyCorpus(spec)
-	cfg.Cache = e.Cache
 	cfg.Obs = e.Obs
 	src := corpus.NewSource(cfg)
 

@@ -2,6 +2,9 @@ package jobs
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -425,5 +428,30 @@ func TestCacheKeysFrozen(t *testing.T) {
 		if got := c.spec.Fingerprint().String(); got != c.want {
 			t.Errorf("%s fingerprint = %s, want %s", c.spec.Kind, got, c.want)
 		}
+	}
+}
+
+// frozenStudyResultDigest is the sha256 of the jobs/result/v2 value a
+// per_taxon=2 seed-2023 study job stores, with JobID blanked (a cache hit
+// overwrites it). At per_taxon=1 the job fails: §7 needs more projects. TestCacheKeysFrozen pins where a result lives; this
+// pins what it holds, so a rendered section or result field that changes
+// while fingerprintStage stays the same fails here instead of serving
+// stale results.
+const frozenStudyResultDigest = "9e37ee2d02ee99075636d5431152f683f90d1e5bee49d89f35589328e93423af"
+
+func TestCacheValuesFrozen(t *testing.T) {
+	j := &Job{ID: "frozen", Spec: Spec{Kind: KindStudy, Study: &StudySpec{Seed: 2023, PerTaxon: 2}}}
+	res, err := (&Executor{}).Run(context.Background(), j, RunReport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.JobID = ""
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != frozenStudyResultDigest {
+		t.Errorf("study result hashes %s, want %s: its output changed, so bump fingerprintStage", got, frozenStudyResultDigest)
 	}
 }

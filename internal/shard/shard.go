@@ -192,7 +192,6 @@ func (w *Worker) Run(ctx context.Context, req *RunRequest) (*RunResponse, error)
 		}
 	}
 	cfg.Exec.Workers = w.Workers
-	cfg.Cache = c
 	cfg.Obs = w.Obs
 
 	opts := study.DefaultOptions()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -101,6 +102,63 @@ func TestShardedRunMatchesSingleShard(t *testing.T) {
 		if sr.TraceID != res.TraceID {
 			t.Errorf("shard %d trace id %q, want %q", i, sr.TraceID, res.TraceID)
 		}
+	}
+}
+
+// TestCorruptRemoteTierLeavesStudyIdentical: a remote tier that flips
+// the last byte of every value it serves cannot change a sharded study.
+// Such a value still decodes (a DDL path, a parse-health count), so
+// without its digest it would change the figures silently. The tier
+// holds every entry of a cold run, each one fails its digest, and the
+// workers recompute: figures and CSV equal the uncached reference, and
+// no value from the tier is served.
+func TestCorruptRemoteTierLeavesStudyIdentical(t *testing.T) {
+	const seed, perTaxon = int64(11), 1
+	ctx := context.Background()
+	ref, err := (&Worker{}).Run(ctx, &RunRequest{Seed: seed, PerTaxon: perTaxon, Shard: 0, Of: 1, CSV: true})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	origin := cache.NewMemory()
+	if _, err := (&Worker{Cache: origin}).Run(ctx, &RunRequest{Seed: seed, PerTaxon: perTaxon, Shard: 0, Of: 1}); err != nil {
+		t.Fatalf("cold fill: %v", err)
+	}
+	tierHandler := cache.TierHandler(origin)
+	tier := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		tierHandler.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if r.Method == http.MethodGet && len(body) > 0 {
+			body[len(body)-1] ^= 0x01
+		}
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	defer tier.Close()
+
+	addrs := []string{newWorkerServer(t).URL, newWorkerServer(t).URL}
+	res, err := Run(ctx, addrs, RunRequest{Seed: seed, PerTaxon: perTaxon, CSV: true, CacheURL: tier.URL})
+	if err != nil {
+		t.Fatalf("sharded run: %v", err)
+	}
+	if got := res.Figures.EncodePartial(); !bytes.Equal(got, ref.Figures) {
+		t.Error("figures over a corrupting tier diverge from the uncached reference")
+	}
+	var merged bytes.Buffer
+	if err := res.WriteCSV(&merged); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	var want strings.Builder
+	want.WriteString(CSVHeader())
+	for _, row := range ref.CSV {
+		want.WriteString(row.Line)
+	}
+	if merged.String() != want.String() {
+		t.Error("CSV over a corrupting tier diverges from the uncached reference")
+	}
+	if s := res.Cache; s == nil || s.RemoteHits != 0 || s.RemoteCorrupt == 0 || s.RemoteCorrupt > s.RemoteMisses {
+		t.Errorf("merged cache counters = %+v; want rejected remote values and no remote hit", s)
 	}
 }
 

@@ -1,16 +1,18 @@
-// Measure-bundle caching: the analysis's one memoized stage. One
-// project's entire analysis result (heartbeats, joint progress, measure
-// suite, taxon, locality, parse health) is addressed by the content of
-// its two input histories — every DDL version's bytes and commit time,
-// every project commit's time and churn — plus the analysis
-// configuration. A warm run therefore skips parsing, diffing and
-// measuring entirely; a miss re-parses and re-diffs every version, as a
-// cold run does.
+// Result caching: the analysis memoizes one thing, a project's measure
+// bundle — its entire analysis result (heartbeats, joint progress,
+// measure suite, taxon, locality, parse health), addressed by the
+// content of its two input histories (every DDL version's bytes and
+// commit time, every project commit's time and churn) plus the analysis
+// configuration. A generated project is also addressed by its generator
+// inputs: its project entry names its bundle, so a warm study finds each
+// result before generating anything. A miss generates, re-parses and
+// re-diffs every version, as a cold run does.
 package study
 
 import (
 	"coevo/internal/cache"
 	"coevo/internal/coevolution"
+	"coevo/internal/corpus"
 	"coevo/internal/heartbeat"
 	"coevo/internal/history"
 	"coevo/internal/taxa"
@@ -24,6 +26,49 @@ import (
 // v3: the bundle carries the project's parse health and the key folds the
 // configured parse dialect.
 const MeasureStage = "study/measure/v3"
+
+// ProjectStage is the project-entry stage's cache version. An entry maps
+// a generated project's generator inputs to the key of its measure
+// bundle and the DDL path the generator drew. Its key folds
+// corpus.GenerateStage and MeasureStage, so bumping either stage moves
+// every entry; bump ProjectStage itself only when the entry's framing
+// changes.
+const ProjectStage = "study/project/v1"
+
+// projectKey addresses a generated project's entry by everything its
+// result depends on that is known before the project exists: the
+// generator inputs, the measure stage and the configuration analyze()
+// observes.
+func projectKey(sp corpus.Spec, opts Options) cache.Key {
+	h := cache.NewHasher(ProjectStage)
+	sp.Fold(h)
+	h.String(MeasureStage)
+	measureConfig(h, opts)
+	return h.Sum()
+}
+
+// storeProject writes a project entry: the bundle's key, then the DDL
+// path.
+func storeProject(c *cache.Cache, key, bundle cache.Key, ddlPath string) {
+	v := make([]byte, 0, len(bundle)+len(ddlPath))
+	c.Put(key, append(append(v, bundle[:]...), ddlPath...))
+}
+
+// loadProject resolves a project entry to the result its bundle holds,
+// with the entry's DDL path. An entry too short to hold a key and a path,
+// or one whose bundle is gone, is a miss.
+func loadProject(c *cache.Cache, key cache.Key) (*ProjectResult, bool) {
+	v, ok := c.Get(key)
+	if !ok || len(v) <= len(key) {
+		return nil, false
+	}
+	res, ok := loadBundle(c, cache.Key(v[:len(key)]))
+	if !ok {
+		return nil, false
+	}
+	res.DDLPath = string(v[len(key):])
+	return res, true
+}
 
 // measureConfig folds the configuration that analyze() observes into the
 // key: the birth-counting convention and every taxon threshold.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"coevo/internal/cache"
 	"coevo/internal/corpus"
 	"coevo/internal/engine"
 )
@@ -56,7 +57,9 @@ func collect(run func(Sink) (*StreamSummary, error)) (*Dataset, error) {
 // each result to sink in corpus order, after which the project's
 // repository is unreferenced and collectable. The reorder window bounds
 // how many completed results wait for an earlier straggler, so peak
-// memory is O(workers) repositories regardless of corpus size.
+// memory is O(workers) repositories regardless of corpus size. With
+// opts.Cache set, a project whose result the cache holds is never
+// generated (see specSource).
 //
 // Under the default CollectErrors policy a failed project lands in
 // StreamSummary.Failures (its slot is skipped, later results still
@@ -68,7 +71,56 @@ func StreamCorpus(ctx context.Context, src *corpus.Source, sink Sink, opts Optio
 	// Name and index by the source, not the package-level convention: a
 	// partitioned source's local index i is global index
 	// src.GlobalIndex(i), and failure reports must name the real project.
-	return streamProjects(ctx, src.Indexed(), src.Len(), src.ProjectName, src.GlobalIndex, sink, opts)
+	return streamProjects(ctx, specSource{src, opts}, src.Len(), src.ProjectName, src.GlobalIndex, sink, opts)
+}
+
+// work is one project as a stream task receives it: the project to
+// analyze, or the result its project entry restored. entry, when set, is
+// where the analyzed project's entry goes.
+type work struct {
+	p     *corpus.Project
+	res   *ProjectResult
+	entry cache.Key
+}
+
+// specSource is StreamCorpus's engine source. It claims each project's
+// spec and, with a cache, looks the project's entry up before generating
+// anything: a hit hands the task the restored result, a miss the
+// generated project. Next runs in the claiming task's context, so the
+// lookup is the task's "cache" stage, generation its "generate" stage,
+// and a generation error aborts the stream as a source error.
+type specSource struct {
+	src  *corpus.Source
+	opts Options
+}
+
+// Next implements engine.Source.
+func (s specSource) Next(ctx context.Context) (work, int, bool, error) {
+	sp, local, ok := s.src.Claim()
+	if !ok {
+		return work{}, 0, false, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return work{}, 0, false, err
+	}
+	var w work
+	if c := s.opts.Cache; c != nil {
+		engine.Stage(ctx, "cache")
+		w.entry = projectKey(sp, s.opts)
+		if res, ok := loadProject(c, w.entry); ok {
+			res.Name = sp.Name()
+			intended := sp.Taxon()
+			res.IntendedTaxon = &intended
+			return work{res: res}, local, true, nil
+		}
+	}
+	engine.Stage(ctx, "generate")
+	p, err := sp.Generate()
+	if err != nil {
+		return work{}, 0, false, err
+	}
+	w.p = p
+	return w, local, true, nil
 }
 
 // streamProjects is the body every corpus-wide entry point shares: it
@@ -76,7 +128,7 @@ func StreamCorpus(ctx context.Context, src *corpus.Source, sink Sink, opts Optio
 // results to sink in index order. total sizes the pool and progress
 // events, name labels local index i, and global maps it to the corpus
 // index that index-aware sinks and failure reports carry.
-func streamProjects(ctx context.Context, src engine.Source[*corpus.Project], total int,
+func streamProjects(ctx context.Context, src engine.Source[work], total int,
 	name func(int) string, global func(int) int, sink Sink, opts Options) (*StreamSummary, error) {
 	eopts := opts.Exec
 	if eopts.Name == nil {
@@ -96,13 +148,19 @@ func streamProjects(ctx context.Context, src engine.Source[*corpus.Project], tot
 	log.Info("study: analyzing corpus", "projects", total)
 	sum := &StreamSummary{}
 	failures, err := engine.Stream(ctx, src,
-		func(ctx context.Context, _ int, p *corpus.Project) (*ProjectResult, error) {
-			res, err := analyzeProjectStaged(ctx, p, opts)
+		func(ctx context.Context, _ int, w work) (*ProjectResult, error) {
+			if w.res != nil {
+				return w.res, nil
+			}
+			res, bundle, err := analyzeProjectStaged(ctx, w.p, opts)
 			if err != nil {
 				return nil, err
 			}
-			intended := p.Taxon
+			intended := w.p.Taxon
 			res.IntendedTaxon = &intended
+			if w.entry != (cache.Key{}) {
+				storeProject(opts.Cache, w.entry, bundle, res.DDLPath)
+			}
 			return res, nil
 		},
 		func(i int, res *ProjectResult) error {
@@ -138,7 +196,6 @@ func RunStream(ctx context.Context, seed int64, opts Options, sink Sink) (*Strea
 	defer span.End()
 	opts.Obs.Logger().Info("study: run starting", "seed", seed)
 	cfg := corpus.DefaultConfig(seed)
-	cfg.Cache = opts.Cache
 	cfg.Obs = opts.Obs
 	return StreamCorpus(ctx, corpus.NewSource(cfg), sink, opts)
 }

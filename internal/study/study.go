@@ -70,11 +70,13 @@ type Options struct {
 	// reporting and metrics.
 	Exec engine.Options
 
-	// Cache, when non-nil, memoizes two stages through the
-	// content-addressed result cache: corpus generation (RunStream hands
-	// it to the generator) and the whole per-project measure bundle. It
-	// is the analysis's only cache setting. Output is byte-identical with
-	// a cold, warm or absent cache; see internal/cache.
+	// Cache, when non-nil, memoizes each project's whole measure bundle
+	// in the content-addressed result cache, keyed by the project's input
+	// histories. StreamCorpus also keys each generated project by its
+	// generator inputs, so a warm stream restores every result without
+	// generating a project. It is the analysis's only cache setting.
+	// Output is byte-identical with a cold, warm or absent cache; see
+	// internal/cache.
 	Cache *cache.Cache
 
 	// Obs, when non-nil, observes the run: orchestration spans (run →
@@ -108,49 +110,51 @@ func AnalyzeRepositoryContext(ctx context.Context, repo *vcs.Repository, ddlPath
 		}
 		ddlPath = found
 	}
-	return analyzeRepository(ctx, repo.Name(), ddlPath, repo, opts)
+	res, _, err := analyzeRepository(ctx, repo.Name(), ddlPath, repo, opts)
+	return res, err
 }
 
 // analyzeRepository is the repository entry point of the cached pipeline:
 // it lists the DDL file versions and project history once, addresses the
 // measure bundle by their content, and only on a miss extracts the schema
-// history (parsing and diffing every version) and measures it.
-func analyzeRepository(ctx context.Context, name, ddlPath string, repo *vcs.Repository, opts Options) (*ProjectResult, error) {
+// history (parsing and diffing every version) and measures it. With a
+// cache it also returns the bundle's key.
+func analyzeRepository(ctx context.Context, name, ddlPath string, repo *vcs.Repository, opts Options) (*ProjectResult, cache.Key, error) {
+	var key cache.Key
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, key, err
 	}
 	if repo.CommitCount() == 0 {
-		return nil, fmt.Errorf("study: %s: %w", name, history.ErrEmptyRepo)
+		return nil, key, fmt.Errorf("study: %s: %w", name, history.ErrEmptyRepo)
 	}
 	fvs := repo.FileVersions(ddlPath)
 	ph, err := history.ExtractProjectHistory(repo)
 	if err != nil {
-		return nil, fmt.Errorf("study: %s: %w", name, err)
+		return nil, key, fmt.Errorf("study: %s: %w", name, err)
 	}
 	c := opts.Cache
-	var key cache.Key
 	if c != nil {
 		engine.Stage(ctx, "cache")
 		key = measureKeyFromVersions(fvs, ph, opts)
 		if res, ok := loadBundle(c, key); ok {
 			res.Name, res.DDLPath = name, ddlPath
-			return res, nil
+			return res, key, nil
 		}
 	}
 	engine.Stage(ctx, "extract")
 	sh, err := history.ExtractSchemaHistoryFromVersions(ddlPath, fvs, opts.History)
 	if err != nil {
-		return nil, fmt.Errorf("study: %s: %w", name, err)
+		return nil, key, fmt.Errorf("study: %s: %w", name, err)
 	}
 	engine.Stage(ctx, "measure")
 	res, err := analyze(ctx, name, ddlPath, sh, ph, opts)
 	if err != nil {
-		return nil, err
+		return nil, key, err
 	}
 	if c != nil {
 		storeBundle(c, key, res)
 	}
-	return res, nil
+	return res, key, nil
 }
 
 // AnalyzeHistories measures a project given already-extracted histories
@@ -158,7 +162,7 @@ func analyzeRepository(ctx context.Context, name, ddlPath string, repo *vcs.Repo
 // from a parsed `git log` and the schema history from file versions). With
 // a cache configured, the measure bundle is shared with the repository
 // entry points: the fingerprint covers the same version content, so an
-// ingested history and a replayed repository hit the same entry. The
+// ingested history and a generated repository hit the same entry. The
 // schema history must have been extracted with opts.History for the
 // fingerprint to be truthful.
 func AnalyzeHistories(name, ddlPath string, sh *history.SchemaHistory, ph *history.ProjectHistory, opts Options) (*ProjectResult, error) {
@@ -310,8 +314,13 @@ func AnalyzeCorpus(projects []*corpus.Project, opts Options) (*Dataset, error) {
 // alongside the error, so an interrupted run can still report what it
 // completed.
 func AnalyzeCorpusContext(ctx context.Context, projects []*corpus.Project, opts Options) (*Dataset, error) {
+	items := engine.SliceSource(projects)
+	src := engine.SourceFunc[work](func(ctx context.Context) (work, int, bool, error) {
+		p, i, ok, err := items.Next(ctx)
+		return work{p: p}, i, ok, err
+	})
 	return collect(func(sink Sink) (*StreamSummary, error) {
-		return streamProjects(ctx, engine.SliceSource(projects), len(projects),
+		return streamProjects(ctx, src, len(projects),
 			func(i int) string { return projects[i].Name },
 			func(i int) int { return i }, sink, opts)
 	})
@@ -319,14 +328,15 @@ func AnalyzeCorpusContext(ctx context.Context, projects []*corpus.Project, opts 
 
 // analyzeProjectStaged is the engine task body for one corpus project,
 // with the pipeline's phases marked as engine stages so the event stream
-// carries per-stage timings (locate, extract, cache, measure).
-func analyzeProjectStaged(ctx context.Context, p *corpus.Project, opts Options) (*ProjectResult, error) {
+// carries per-stage timings (locate, extract, cache, measure). With a
+// cache it also returns the key of the project's measure bundle.
+func analyzeProjectStaged(ctx context.Context, p *corpus.Project, opts Options) (*ProjectResult, cache.Key, error) {
 	ddlPath := p.DDLPath
 	if ddlPath == "" {
 		engine.Stage(ctx, "locate")
 		found, err := history.FindDDLPath(p.Repo)
 		if err != nil {
-			return nil, fmt.Errorf("study: %s: %w", p.Repo.Name(), err)
+			return nil, cache.Key{}, fmt.Errorf("study: %s: %w", p.Repo.Name(), err)
 		}
 		ddlPath = found
 	}

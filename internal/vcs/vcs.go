@@ -525,9 +525,9 @@ func (r *Repository) putBlobLocked(content []byte) Hash {
 // hashCommitLocked derives a commit hash from the commit's content plus
 // its creation sequence number (which keeps hashes unique even for
 // identical content committed twice). The pre-image layout is frozen —
-// cached corpus replays verify themselves by head hash — so this builds
-// exactly the bytes the original fmt-based writer produced, every hash
-// in hex. When the parent's blob-line memo is current and no path was
+// TestCommitHashesFrozen pins the generated corpus's hashes — so this
+// builds exactly the bytes the original fmt-based writer produced, every
+// hash in hex. When the parent's blob-line memo is current and no path was
 // added or removed, only the modified paths' hashes are patched in place
 // (every blob hash is the same fixed-width hex, so offsets are stable).
 func (r *Repository) hashCommitLocked(c *Commit, keysChanged bool, tree map[string]Hash) Hash {

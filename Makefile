@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench microbench race vet fuzz-smoke perf-gate perf-gate-self-test
+.PHONY: build test verify bench microbench race vet fuzz-smoke perf-gate perf-gate-self-test loc
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,11 @@ verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) test -count=1 -run AllocBudget ./...
 	cd bench && $(GO) vet ./...
+
+# loc prints the number of non-test Go lines outside bench/, the measure
+# of code size the ROADMAP tracks.
+loc:
+	@git ls-files -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/' | xargs cat | wc -l
 
 # bench times full study runs — cold and warm cache, workers=1 vs
 # NumCPU, streaming and sharded — and writes the machine-readable report

@@ -23,11 +23,7 @@ func runAnalyze(ctx context.Context, args []string) error {
 		return err
 	}
 
-	projects, err := corpus.GenerateContext(ctx, corpus.DefaultConfig(*seed))
-	if err != nil {
-		return err
-	}
-	target, err := pickProject(projects, *which)
+	target, err := pickProject(corpus.NewSource(corpus.DefaultConfig(*seed)), *which)
 	if err != nil {
 		return err
 	}
@@ -38,19 +34,24 @@ func runAnalyze(ctx context.Context, args []string) error {
 	return printCaseStudy(os.Stdout, res)
 }
 
-func pickProject(projects []*corpus.Project, which string) (*corpus.Project, error) {
-	if idx, err := strconv.Atoi(which); err == nil {
-		if idx < 0 || idx >= len(projects) {
-			return nil, fmt.Errorf("project index %d out of range [0, %d)", idx, len(projects))
-		}
-		return projects[idx], nil
+// pickProject generates the one project of src that which names: the
+// project at that corpus index or, if which is not a number, the first
+// project whose name contains it.
+func pickProject(src *corpus.Source, which string) (*corpus.Project, error) {
+	idx, err := strconv.Atoi(which)
+	byIndex := err == nil
+	if byIndex && (idx < 0 || idx >= src.Len()) {
+		return nil, fmt.Errorf("project index %d out of range [0, %d)", idx, src.Len())
 	}
-	for _, p := range projects {
-		if strings.Contains(p.Name, which) {
-			return p, nil
+	for {
+		sp, i, ok := src.Claim()
+		if !ok {
+			return nil, fmt.Errorf("no project matches %q", which)
+		}
+		if byIndex && i == idx || !byIndex && strings.Contains(sp.Name(), which) {
+			return sp.Generate()
 		}
 	}
-	return nil, fmt.Errorf("no project matches %q", which)
 }
 
 // printCaseStudy delegates to the shared report.CaseStudy renderer, the

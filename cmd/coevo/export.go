@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -21,17 +22,16 @@ func runExport(args []string) error {
 		return err
 	}
 
-	projects, err := corpus.Generate(corpus.DefaultConfig(*seed))
-	if err != nil {
-		return err
-	}
-	records := make([]*dataset.HistoryStats, 0, len(projects))
-	for _, p := range projects {
+	var records []*dataset.HistoryStats
+	if _, err := corpus.EachContext(context.Background(), corpus.DefaultConfig(*seed), func(p *corpus.Project) error {
 		st, err := dataset.CollectRepository(p.Repo, p.DDLPath, history.DefaultOptions(), taxa.DefaultConfig())
 		if err != nil {
 			return err
 		}
 		records = append(records, st)
+		return nil
+	}); err != nil {
+		return err
 	}
 
 	var w io.Writer = os.Stdout

@@ -18,7 +18,7 @@ func runGen(ctx context.Context, args []string) (err error) {
 	fs := newFlagSet("gen")
 	seed := fs.Int64("seed", 2023, "corpus generation seed")
 	list := fs.Bool("list", false, "list every generated project")
-	buildPipeline := pipelineFlags(fs)
+	buildPipeline := pipelineFlags(fs, false)
 	if ok, err := parseFlags(fs, args); !ok {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -25,21 +26,9 @@ func runImpact(args []string) error {
 		return err
 	}
 
-	projects, err := corpus.Generate(corpus.DefaultConfig(*seed))
-	if err != nil {
-		return err
-	}
-	if *project != "" {
-		p, err := pickProject(projects, *project)
-		if err != nil {
-			return err
-		}
-		projects = []*corpus.Project{p}
-	}
-
 	perKind := map[schemadiff.ChangeKind]*impact.KindImpact{}
-	activeCommits, sameCommit := 0, 0.0
-	for _, p := range projects {
+	projects, activeCommits, sameCommit := 0, 0, 0.0
+	visit := func(p *corpus.Project) error {
 		sh, err := history.ExtractSchemaHistory(p.Repo, p.DDLPath, history.DefaultOptions())
 		if err != nil {
 			return err
@@ -57,13 +46,27 @@ func runImpact(args []string) error {
 			agg.Changes += ki.Changes
 			agg.SourceFileUpdates += ki.SourceFileUpdates
 		}
+		projects++
 		activeCommits += stats.ActiveSchemaCommits
 		sameCommit += stats.SameCommitShare * float64(stats.ActiveSchemaCommits)
+		return nil
+	}
+	cfg := corpus.DefaultConfig(*seed)
+	if *project != "" {
+		p, err := pickProject(corpus.NewSource(cfg), *project)
+		if err != nil {
+			return err
+		}
+		if err := visit(p); err != nil {
+			return err
+		}
+	} else if _, err := corpus.EachContext(context.Background(), cfg, visit); err != nil {
+		return err
 	}
 
 	tbl := &report.Table{
 		Title: fmt.Sprintf("Co-change around schema commits (%d projects, window ±%d commits)",
-			len(projects), *window),
+			projects, *window),
 		Header: []string{"Change kind", "Changes", "Source churn", "Avg churn/change"},
 	}
 	kinds := make([]schemadiff.ChangeKind, 0, len(perKind))

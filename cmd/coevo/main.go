@@ -124,7 +124,7 @@ run 'coevo <subcommand> -h' for flags. The corpus-wide subcommands
 flags -workers N (pool size, default GOMAXPROCS), -progress (report
 progress on stderr), -metrics (print the unified metrics report:
 latency/throughput, stage totals and cache counters), -cache-dir DIR
-(persist and reuse stage results across runs), -trace FILE (Chrome
+(study and taxa: persist and reuse results across runs), -trace FILE (Chrome
 trace-event JSON of the run), -log-level LEVEL (structured logs on
 stderr), -cpuprofile/-memprofile FILE (pprof profiles), -listen ADDR
 (serve /metrics, /healthz, /readyz, /progress SSE, /debug/pprof and

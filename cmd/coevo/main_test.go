@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,14 +15,14 @@ import (
 	"coevo/internal/corpus"
 	"coevo/internal/dataset"
 	"coevo/internal/history"
+	"coevo/internal/report"
 	"coevo/internal/runlog"
 	"coevo/internal/study"
 	"coevo/internal/taxa"
 )
 
-// smallProjects generates a few corpus projects for CLI helpers.
-func smallProjects(t *testing.T) []*corpus.Project {
-	t.Helper()
+// smallConfig is a corpus of one short-lived project per taxon.
+func smallConfig() corpus.Config {
 	cfg := corpus.DefaultConfig(3)
 	profiles := corpus.DefaultProfiles()
 	for i := range profiles {
@@ -30,7 +32,13 @@ func smallProjects(t *testing.T) []*corpus.Project {
 		}
 	}
 	cfg.Profiles = profiles
-	projects, err := corpus.Generate(cfg)
+	return cfg
+}
+
+// smallProjects generates smallConfig's projects for CLI helpers.
+func smallProjects(t *testing.T) []*corpus.Project {
+	t.Helper()
+	projects, err := corpus.Generate(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +78,7 @@ func TestPipelineFlags(t *testing.T) {
 	build := func(t *testing.T, args ...string) (*pipeline, error) {
 		t.Helper()
 		fs := newFlagSet("test")
-		builder := pipelineFlags(fs)
+		builder := pipelineFlags(fs, true)
 		if ok, err := parseFlags(fs, args); !ok {
 			t.Fatalf("parse %v: %v", args, err)
 		}
@@ -249,20 +257,83 @@ func TestWorkersLabel(t *testing.T) {
 
 func TestPickProject(t *testing.T) {
 	projects := smallProjects(t)
+	pick := func(which string) (*corpus.Project, error) {
+		return pickProject(corpus.NewSource(smallConfig()), which)
+	}
+	same := func(p, q *corpus.Project) bool {
+		return p != nil && p.Name == q.Name && p.Repo.Head().Hash == q.Repo.Head().Hash
+	}
 
-	byIndex, err := pickProject(projects, "2")
-	if err != nil || byIndex != projects[2] {
+	byIndex, err := pick("2")
+	if err != nil || !same(byIndex, projects[2]) {
 		t.Errorf("pick by index: %v, %v", byIndex, err)
 	}
-	byName, err := pickProject(projects, projects[3].Name)
-	if err != nil || byName != projects[3] {
+	byName, err := pick(projects[3].Name)
+	if err != nil || !same(byName, projects[3]) {
 		t.Errorf("pick by name: %v, %v", byName, err)
 	}
-	if _, err := pickProject(projects, "999"); err == nil {
+	if _, err := pick("999"); err == nil {
 		t.Error("out-of-range index should fail")
 	}
-	if _, err := pickProject(projects, "no-such-project"); err == nil {
+	if _, err := pick("no-such-project"); err == nil {
 		t.Error("unknown name should fail")
+	}
+}
+
+// TestSingleProjectCommandsMatchMaterializedCorpus: analyze and smo
+// generate only the project they show, picked by index or by the first
+// name containing a substring, and print what the project at that place
+// in the materialized corpus prints.
+func TestSingleProjectCommandsMatchMaterializedCorpus(t *testing.T) {
+	projects, err := corpus.Generate(corpus.DefaultConfig(2023))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pick is the selection rule over the materialized corpus.
+	pick := func(which string) *corpus.Project {
+		if idx, err := strconv.Atoi(which); err == nil {
+			return projects[idx]
+		}
+		for _, p := range projects {
+			if strings.Contains(p.Name, which) {
+				return p
+			}
+		}
+		t.Fatalf("no project matches %q", which)
+		return nil
+	}
+	// "7/project-1" is in the names of projects 107, 127, ..., 187.
+	for _, which := range []string{"100", "7/project-1"} {
+		p := pick(which)
+		res, err := study.AnalyzeRepository(p.Repo, p.DDLPath, study.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var analyze, smoOut bytes.Buffer
+		if err := report.CaseStudy(&analyze, res); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeSMO(&smoOut, p, 0, -1, false); err != nil {
+			t.Fatal(err)
+		}
+		if got := coevo(t, "analyze", "-project", which); got != analyze.String() {
+			t.Errorf("analyze -project %s:\n%s\nwant the output for %s:\n%s", which, got, p.Name, analyze.String())
+		}
+		if got := coevo(t, "smo", "-project", which); got != smoOut.String() {
+			t.Errorf("smo -project %s:\n%s\nwant the output for %s:\n%s", which, got, p.Name, smoOut.String())
+		}
+	}
+}
+
+// TestGenHasNoCacheDir: generated projects are never cached, so gen
+// rejects -cache-dir before it creates anything.
+func TestGenHasNoCacheDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	if err := runGen(context.Background(), []string{"-cache-dir", dir}); err == nil {
+		t.Error("gen -cache-dir should be a flag error")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("gen -cache-dir created %s: %v", dir, err)
 	}
 }
 

@@ -71,12 +71,17 @@ type snapshotEvent struct {
 const snapshotEvery = 25
 
 // pipelineFlags registers the shared execution and observability flags on
-// fs and returns a builder that assembles the pipeline after parsing.
-func pipelineFlags(fs *flag.FlagSet) func() (*pipeline, error) {
+// fs, and -cache-dir when withCache is set, and returns a builder that
+// assembles the pipeline after parsing. Only commands that analyze
+// projects read the cache: generated projects are never cached.
+func pipelineFlags(fs *flag.FlagSet, withCache bool) func() (*pipeline, error) {
 	workers := fs.Int("workers", 0, "concurrent analysis workers (0 = GOMAXPROCS)")
 	progress := fs.Bool("progress", false, "report per-decile progress and failures on stderr")
 	metrics := fs.Bool("metrics", false, "print the unified metrics report (engine latency/throughput, stage totals, cache counters) on stderr")
-	cacheDir := fs.String("cache-dir", "", "persist and reuse stage results in this content-addressed cache directory")
+	cacheDir := new(string)
+	if withCache {
+		cacheDir = fs.String("cache-dir", "", "persist and reuse stage results in this content-addressed cache directory")
+	}
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto) to this path")
 	logLevel := fs.String("log-level", "", "enable structured logs on stderr at this level (debug, info, warn, error)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")

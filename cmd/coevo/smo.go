@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"coevo/internal/corpus"
@@ -23,39 +24,42 @@ func runSMO(args []string) error {
 		return err
 	}
 
-	projects, err := corpus.Generate(corpus.DefaultConfig(*seed))
+	p, err := pickProject(corpus.NewSource(corpus.DefaultConfig(*seed)), *project)
 	if err != nil {
 		return err
 	}
-	p, err := pickProject(projects, *project)
-	if err != nil {
-		return err
-	}
+	return writeSMO(os.Stdout, p, *from, *to, *invert)
+}
+
+// writeSMO writes the operation sequence from version from to version to
+// of p's DDL file (to < 0 is the last version), its migration script and,
+// with invert, its rollback script.
+func writeSMO(w io.Writer, p *corpus.Project, from, to int, invert bool) error {
 	sh, err := history.ExtractSchemaHistory(p.Repo, p.DDLPath, history.DefaultOptions())
 	if err != nil {
 		return err
 	}
-	if *to < 0 {
-		*to = sh.CommitCount() - 1
+	if to < 0 {
+		to = sh.CommitCount() - 1
 	}
-	if *from < 0 || *from >= sh.CommitCount() || *to < 0 || *to >= sh.CommitCount() {
+	if from < 0 || from >= sh.CommitCount() || to < 0 || to >= sh.CommitCount() {
 		return fmt.Errorf("smo: version indices out of range [0, %d)", sh.CommitCount())
 	}
 
-	seq := smo.Derive(sh.Versions[*from].Schema, sh.Versions[*to].Schema)
-	fmt.Printf("%s: %s, versions %d -> %d (%d ops, %d activity units)\n\n",
-		p.Name, p.DDLPath, *from, *to, len(seq), seq.Activity())
+	seq := smo.Derive(sh.Versions[from].Schema, sh.Versions[to].Schema)
+	fmt.Fprintf(w, "%s: %s, versions %d -> %d (%d ops, %d activity units)\n\n",
+		p.Name, p.DDLPath, from, to, len(seq), seq.Activity())
 	if len(seq) == 0 {
-		fmt.Println("(no logical change between the versions)")
+		fmt.Fprintln(w, "(no logical change between the versions)")
 		return nil
 	}
-	fmt.Println("operation sequence:")
-	fmt.Println(seq)
-	fmt.Println("\nmigration script:")
-	fmt.Println(seq.SQL())
-	if *invert {
-		fmt.Fprintln(os.Stdout, "\nrollback script:")
-		fmt.Println(seq.Invert().SQL())
+	fmt.Fprintln(w, "operation sequence:")
+	fmt.Fprintln(w, seq)
+	fmt.Fprintln(w, "\nmigration script:")
+	fmt.Fprintln(w, seq.SQL())
+	if invert {
+		fmt.Fprintln(w, "\nrollback script:")
+		fmt.Fprintln(w, seq.Invert().SQL())
 	}
 	return nil
 }

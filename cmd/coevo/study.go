@@ -56,7 +56,7 @@ func runStudy(ctx context.Context, args []string) (err error) {
 	shards := fs.Int("shards", 0, "scale the study across this many worker processes (0 = single process); output is byte-identical to the unsharded run")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated base URLs of running `coevo shard serve` workers, one per shard (default: spawn local workers)")
 	dialect := dialectFlag(fs)
-	buildPipeline := pipelineFlags(fs)
+	buildPipeline := pipelineFlags(fs, true)
 	if ok, err := parseFlags(fs, args); !ok {
 		return err
 	}

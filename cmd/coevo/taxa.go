@@ -18,7 +18,7 @@ func runTaxa(ctx context.Context, args []string) (err error) {
 	seed := fs.Int64("seed", 2023, "corpus generation seed")
 	theta := fs.Float64("theta", 0.10, "synchronicity acceptance band")
 	dialect := dialectFlag(fs)
-	buildPipeline := pipelineFlags(fs)
+	buildPipeline := pipelineFlags(fs, true)
 	if ok, err := parseFlags(fs, args); !ok {
 		return err
 	}

@@ -85,7 +85,7 @@ func watchProgress(t *testing.T, url string) <-chan sseCapture {
 func TestTelemetryDuringStudy(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "runs")
 	fs := newFlagSet("study")
-	builder := pipelineFlags(fs)
+	builder := pipelineFlags(fs, true)
 	if ok, err := parseFlags(fs, []string{
 		"-listen", "127.0.0.1:0", "-runlog-dir", ledger, "-workers", "2"}); !ok {
 		t.Fatalf("parse: %v", err)
@@ -183,7 +183,7 @@ func TestTelemetryDuringStudy(t *testing.T) {
 func TestLingerKeepsServerUp(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "runs")
 	fs := newFlagSet("study")
-	builder := pipelineFlags(fs)
+	builder := pipelineFlags(fs, true)
 	if ok, err := parseFlags(fs, []string{
 		"-listen", "127.0.0.1:0", "-runlog-dir", ledger, "-linger", "30s"}); !ok {
 		t.Fatalf("parse: %v", err)
@@ -324,7 +324,7 @@ func TestServeSubcommand(t *testing.T) {
 // TestTelemetryFlagKitErrors covers the flag kit's new failure paths.
 func TestTelemetryFlagKitErrors(t *testing.T) {
 	fs := newFlagSet("study")
-	builder := pipelineFlags(fs)
+	builder := pipelineFlags(fs, true)
 	if ok, err := parseFlags(fs, []string{"-listen", "256.0.0.1:bad"}); !ok {
 		t.Fatalf("parse: %v", err)
 	}
@@ -341,7 +341,7 @@ func TestTelemetryFlagKitErrors(t *testing.T) {
 func TestConcurrentMetricsScrapeDuringStudy(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "runs")
 	fs := newFlagSet("study")
-	builder := pipelineFlags(fs)
+	builder := pipelineFlags(fs, true)
 	if ok, err := parseFlags(fs, []string{
 		"-listen", "127.0.0.1:0", "-runlog-dir", ledger, "-workers", "2"}); !ok {
 		t.Fatalf("parse: %v", err)

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,6 +52,9 @@ func DefaultOptions() Options { return Options{CountBirth: true} }
 
 // SchemaVersion is one committed state of the DDL file.
 type SchemaVersion struct {
+	// Commit is the repository commit that wrote the version. It is nil
+	// for an ingested version (SchemaHistoryFromContents), which carries
+	// only its time.
 	Commit *vcs.Commit
 	// Raw is the file content at the commit (nil when Deleted).
 	Raw []byte
@@ -65,10 +69,11 @@ type SchemaVersion struct {
 	Report schema.ParseReport
 	// Deleted marks the version where the file was removed.
 	Deleted bool
+	when    time.Time
 }
 
-// When returns the commit time of the version.
-func (v *SchemaVersion) When() time.Time { return v.Commit.When() }
+// When returns the commit time of the version, in UTC.
+func (v *SchemaVersion) When() time.Time { return v.when }
 
 // SchemaHistory is the parsed, diffed history of a project's DDL file.
 type SchemaHistory struct {
@@ -156,40 +161,47 @@ func ExtractSchemaHistory(repo *vcs.Repository, path string, opts Options) (*Sch
 // ExtractSchemaHistoryFromVersions builds the schema history from already
 // listed file versions — the entry point for callers that walk the file
 // history themselves (the study's cached pipeline lists versions once to
-// address its result bundle, then extracts only on a cache miss). Every
-// version is parsed, but one schema.Builder serves them all, so only the
-// CREATE TABLE statements a version changed are built again.
+// address its result bundle, then extracts only on a cache miss).
 func ExtractSchemaHistoryFromVersions(path string, fileVersions []vcs.FileVersion, opts Options) (*SchemaHistory, error) {
-	if len(fileVersions) == 0 {
+	versions := make([]SchemaVersion, len(fileVersions))
+	for i, fv := range fileVersions {
+		versions[i] = SchemaVersion{Commit: fv.Commit, Raw: fv.Content, Deleted: fv.Deleted, when: fv.Commit.When()}
+	}
+	return extract(path, versions, opts)
+}
+
+// extract parses every version in order and diffs successive versions;
+// versions arrive with their commit, time, content and deleted flag set.
+// One schema.Builder serves them all, so only the CREATE TABLE statements
+// a version changed are built again.
+func extract(path string, versions []SchemaVersion, opts Options) (*SchemaHistory, error) {
+	if len(versions) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoDDLFile, path)
 	}
-	h := &SchemaHistory{Path: path, Versions: make([]SchemaVersion, 0, len(fileVersions)), opts: opts}
+	h := &SchemaHistory{Path: path, Versions: versions, opts: opts}
 	var b schema.Builder
-	schemas := make([]*schema.Schema, 0, len(fileVersions)+1)
+	schemas := make([]*schema.Schema, 0, len(versions)+1)
 	schemas = append(schemas, schema.New()) // the pre-birth empty schema
 	anyCreate := false
 	var prevRaw []byte
 	havePrev := false
-	for _, fv := range fileVersions {
-		sv := SchemaVersion{Commit: fv.Commit, Raw: fv.Content, Deleted: fv.Deleted}
-		if fv.Deleted {
+	for i := range versions {
+		sv := &versions[i]
+		if sv.Deleted {
 			sv.Schema = schema.New()
 		} else {
-			if havePrev && bytes.Equal(prevRaw, fv.Content) {
+			if havePrev && bytes.Equal(prevRaw, sv.Raw) {
 				h.NoOpCommits++
 			}
-			prevRaw, havePrev = fv.Content, true
+			prevRaw, havePrev = sv.Raw, true
 			// The copy stays: the Builder's memo keys and the AST's
-			// strings alias the text, and fv.Content is a []byte that
-			// SchemaVersion.Raw hands on to callers, who could write it.
-			s, rep := b.ParseAndBuild(string(fv.Content), opts.Dialect)
-			sv.Schema = s
-			sv.Report = rep
-			if s.TableCount() > 0 {
+			// strings alias the text, and Raw is a []byte that
+			// SchemaVersion hands on to callers, who could write it.
+			sv.Schema, sv.Report = b.ParseAndBuild(string(sv.Raw), opts.Dialect)
+			if sv.Schema.TableCount() > 0 {
 				anyCreate = true
 			}
 		}
-		h.Versions = append(h.Versions, sv)
 		schemas = append(schemas, sv.Schema)
 	}
 	if !anyCreate {
@@ -429,52 +441,19 @@ func ParseVersionNames(names []string) ([]VersionName, error) {
 }
 
 // SchemaHistoryFromContents builds a schema history from externally
-// extracted file versions. Versions are sorted by date; identical
-// consecutive contents are retained (they become inactive commits, exactly
-// as a cosmetic edit would).
+// extracted file versions. Versions are sorted by time, stably, so
+// versions with equal times keep their given order; each version's time
+// is kept in UTC, its Raw is exactly the submitted bytes (not copied) and
+// its Commit is nil. Identical consecutive contents are retained: they
+// become inactive commits, exactly as a cosmetic edit would, and are
+// counted in NoOpCommits.
 func SchemaHistoryFromContents(path string, versions []DatedContent, opts Options) (*SchemaHistory, error) {
-	if len(versions) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoDDLFile, path)
+	sorted := make([]SchemaVersion, len(versions))
+	for i, v := range versions {
+		sorted[i] = SchemaVersion{Raw: v.Content, when: v.When.UTC()}
 	}
-	sorted := append([]DatedContent(nil), versions...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].When.Before(sorted[j].When) })
-
-	// Count byte-identical consecutive versions up front: the replay below
-	// perturbs their content to keep the substrate from absorbing them, so
-	// the extraction itself can no longer see that they were no-ops.
-	noOps := 0
-	for i := 1; i < len(sorted); i++ {
-		if bytes.Equal(sorted[i-1].Content, sorted[i].Content) {
-			noOps++
-		}
-	}
-
-	// Replay the versions into a throwaway repository so the extraction
-	// path is byte-for-byte the one used for real repositories.
-	repo := vcs.NewRepository("ingest")
-	prev := []byte(nil)
-	for i, v := range sorted {
-		content := v.Content
-		if prev != nil && string(prev) == string(content) {
-			// The substrate skips no-op commits; force a distinct blob by
-			// appending a newline so the version count is preserved, then
-			// rely on the parser ignoring trailing whitespace.
-			content = append(append([]byte(nil), content...), '\n')
-		}
-		repo.Stage(path, content)
-		if _, err := repo.Commit(fmt.Sprintf("version %d", i), vcs.Signature{
-			Name: "ingest", Email: "ingest@localhost", When: v.When,
-		}); err != nil {
-			return nil, fmt.Errorf("history: replaying version %d: %w", i, err)
-		}
-		prev = content
-	}
-	h, err := ExtractSchemaHistory(repo, path, opts)
-	if err != nil {
-		return nil, err
-	}
-	h.NoOpCommits = noOps
-	return h, nil
+	slices.SortStableFunc(sorted, func(a, b SchemaVersion) int { return a.when.Compare(b.when) })
+	return extract(path, sorted, opts)
 }
 
 // ExtractProjectHistoryWithLines reads the non-merge commit log and counts

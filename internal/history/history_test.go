@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -493,6 +494,32 @@ func TestSchemaHistoryFromContentsIdenticalVersions(t *testing.T) {
 	// Both versions survive; the second is an inactive commit.
 	if sh.CommitCount() != 2 || sh.ActiveCommits() != 1 {
 		t.Errorf("commits = %d active = %d", sh.CommitCount(), sh.ActiveCommits())
+	}
+}
+
+// TestSchemaHistoryFromContentsKeepsVersions: ingested versions keep
+// their exact bytes, a byte-identical repeat included, their given order
+// among equal times, and their time in UTC; they name no commit.
+func TestSchemaHistoryFromContentsKeepsVersions(t *testing.T) {
+	when := time.Date(2010, 1, 31, 23, 30, 0, 0, time.FixedZone("EST", -5*3600))
+	versions := make([]DatedContent, 20)
+	for i := range versions {
+		versions[i] = DatedContent{When: when, Content: []byte("CREATE TABLE t (a INT);\n-- " + strconv.Itoa(i/2))}
+	}
+	sh, err := SchemaHistoryFromContents("schema.sql", versions, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range sh.Versions {
+		if string(v.Raw) != string(versions[i].Content) || v.Commit != nil {
+			t.Errorf("version %d: Raw %q, Commit %v; want %q and no commit", i, v.Raw, v.Commit, versions[i].Content)
+		}
+		if !v.When().Equal(when) || v.When().Location() != time.UTC {
+			t.Errorf("version %d: When %v, want %v in UTC", i, v.When(), when)
+		}
+	}
+	if sh.NoOpCommits != 10 {
+		t.Errorf("NoOpCommits = %d, want 10", sh.NoOpCommits)
 	}
 }
 

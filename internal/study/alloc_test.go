@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"coevo/internal/cache"
 	"coevo/internal/history"
 	"coevo/internal/race"
 	"coevo/internal/vcs"
@@ -74,4 +75,35 @@ func TestMeasureProjectAllocBudget(t *testing.T) {
 		t.Errorf("measuring one project allocates %.1f/op, budget %d", avg, measureBudget)
 	}
 	t.Logf("measure allocs/op: %.1f", avg)
+}
+
+// cacheHitBudget caps the average allocations of analyzing a repository
+// whose measure bundle is cached: listing its DDL versions and commits,
+// hashing the key and decoding the bundle. No version is parsed or
+// diffed: keying the parsed history instead, which parses and diffs the
+// three versions before every lookup, allocates 80.
+const cacheHitBudget = 30 // measured 17
+
+func TestRepositoryCacheHitAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun accounting is distorted under the race detector")
+	}
+	repo, ddlPath := allocProject(t)
+	opts := DefaultOptions()
+	opts.Cache = cache.NewMemory()
+	if _, err := AnalyzeRepository(repo, ddlPath, opts); err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := AnalyzeRepository(repo, ddlPath, opts); err != nil {
+			t.Fatalf("warm: %v", err)
+		}
+	})
+	if s := opts.Cache.Stats(); s.Misses != 1 || s.Puts != 1 {
+		t.Fatalf("%s; want one miss and one put", s)
+	}
+	if avg > cacheHitBudget {
+		t.Errorf("a cached repository allocates %.1f/op, budget %d", avg, cacheHitBudget)
+	}
+	t.Logf("cache-hit allocs/op: %.1f", avg)
 }

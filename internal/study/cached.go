@@ -10,13 +10,14 @@
 package study
 
 import (
+	"time"
+
 	"coevo/internal/cache"
 	"coevo/internal/coevolution"
 	"coevo/internal/corpus"
 	"coevo/internal/heartbeat"
 	"coevo/internal/history"
 	"coevo/internal/taxa"
-	"coevo/internal/vcs"
 )
 
 // MeasureStage is the measure-bundle stage's cache version. Bump whenever
@@ -82,45 +83,32 @@ func measureConfig(h *cache.Hasher, opts Options) {
 	h.Float(opts.Taxa.DoubleSpikeShare)
 }
 
-// measureProjectHistory folds the project history into the key.
-func measureProjectHistory(h *cache.Hasher, ph *history.ProjectHistory) {
+// versionAt returns what a measure bundle's key folds of a project's
+// i-th schema version: its commit time, deleted flag and raw bytes.
+type versionAt func(i int) (when time.Time, deleted bool, raw []byte)
+
+// measureKey addresses a project's measure bundle by its n schema
+// versions, as at returns them, and every project commit, under the
+// analysis configuration. The repository road folds a DDL file's versions
+// before parsing them and ingest folds the versions of an extracted
+// history, through this one fold: the same versions and commits give the
+// same key on both.
+func measureKey(n int, at versionAt, ph *history.ProjectHistory, opts Options) cache.Key {
+	h := cache.NewHasher(MeasureStage)
+	measureConfig(h, opts)
+	h.Int(int64(n))
+	for i := 0; i < n; i++ {
+		when, deleted, raw := at(i)
+		h.Time(when)
+		h.Bool(deleted)
+		h.Bytes(raw)
+	}
 	h.Int(int64(len(ph.Commits)))
 	for _, c := range ph.Commits {
 		h.Time(c.When)
 		h.Int(int64(c.Files))
 		h.Int(int64(c.Lines))
 	}
-}
-
-// measureKeyFromVersions addresses the bundle by raw file versions — the
-// pre-extraction form, so a hit skips parsing and diffing altogether.
-func measureKeyFromVersions(fvs []vcs.FileVersion, ph *history.ProjectHistory, opts Options) cache.Key {
-	h := cache.NewHasher(MeasureStage)
-	measureConfig(h, opts)
-	h.Int(int64(len(fvs)))
-	for _, fv := range fvs {
-		h.Time(fv.Commit.When())
-		h.Bool(fv.Deleted)
-		h.Bytes(fv.Content)
-	}
-	measureProjectHistory(h, ph)
-	return h.Sum()
-}
-
-// measureKeyFromHistory addresses the bundle by an already-extracted
-// schema history. The fingerprint is field-for-field the one
-// measureKeyFromVersions computes (commit time, deleted flag, raw bytes),
-// so the two entry points share cache entries.
-func measureKeyFromHistory(sh *history.SchemaHistory, ph *history.ProjectHistory, opts Options) cache.Key {
-	h := cache.NewHasher(MeasureStage)
-	measureConfig(h, opts)
-	h.Int(int64(len(sh.Versions)))
-	for _, v := range sh.Versions {
-		h.Time(v.When())
-		h.Bool(v.Deleted)
-		h.Bytes(v.Raw)
-	}
-	measureProjectHistory(h, ph)
 	return h.Sum()
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+	"time"
 
 	"coevo/internal/cache"
 	"coevo/internal/corpus"
@@ -39,11 +40,29 @@ func TestCacheKeysFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := measureKeyFromVersions(fvs, ph, opts).String(); got != frozenMeasureKey {
-		t.Errorf("%s: measureKeyFromVersions = %s, want %s", p.Name, got, frozenMeasureKey)
+	dated := make([]history.DatedContent, len(fvs))
+	for i, fv := range fvs {
+		dated[i] = history.DatedContent{When: fv.Commit.When(), Content: fv.Content}
 	}
-	if got := measureKeyFromHistory(sh, ph, opts).String(); got != frozenMeasureKey {
-		t.Errorf("%s: measureKeyFromHistory = %s, want %s", p.Name, got, frozenMeasureKey)
+	ingested, err := history.SchemaHistoryFromContents(p.DDLPath, dated, opts.History)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileVersion := func(i int) (time.Time, bool, []byte) { return fvs[i].Commit.When(), fvs[i].Deleted, fvs[i].Content }
+	if got := measureKey(len(fvs), fileVersion, ph, opts).String(); got != frozenMeasureKey {
+		t.Errorf("%s: measureKey of the file versions = %s, want %s", p.Name, got, frozenMeasureKey)
+	}
+	for _, h := range []struct {
+		name string
+		sh   *history.SchemaHistory
+	}{{"repository history", sh}, {"ingested history", ingested}} {
+		version := func(i int) (time.Time, bool, []byte) {
+			v := &h.sh.Versions[i]
+			return v.When(), v.Deleted, v.Raw
+		}
+		if got := measureKey(len(h.sh.Versions), version, ph, opts).String(); got != frozenMeasureKey {
+			t.Errorf("%s: measureKey of the %s = %s, want %s", p.Name, h.name, got, frozenMeasureKey)
+		}
 	}
 
 	src := corpus.NewSource(corpus.DefaultConfig(2023))

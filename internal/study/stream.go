@@ -152,7 +152,7 @@ func streamProjects(ctx context.Context, src engine.Source[work], total int,
 			if w.res != nil {
 				return w.res, nil
 			}
-			res, bundle, err := analyzeProjectStaged(ctx, w.p, opts)
+			res, bundle, err := analyzeRepository(ctx, w.p.Repo, w.p.DDLPath, opts)
 			if err != nil {
 				return nil, err
 			}

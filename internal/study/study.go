@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"coevo/internal/cache"
 	"coevo/internal/coevolution"
@@ -103,46 +104,83 @@ func AnalyzeRepository(repo *vcs.Repository, ddlPath string, opts Options) (*Pro
 func AnalyzeRepositoryContext(ctx context.Context, repo *vcs.Repository, ddlPath string, opts Options) (*ProjectResult, error) {
 	ctx, span := opts.Obs.StartSpan(ctx, "analyze "+repo.Name())
 	defer span.End()
-	if ddlPath == "" {
-		found, err := history.FindDDLPath(repo)
-		if err != nil {
-			return nil, fmt.Errorf("study: %s: %w", repo.Name(), err)
-		}
-		ddlPath = found
-	}
-	res, _, err := analyzeRepository(ctx, repo.Name(), ddlPath, repo, opts)
+	res, _, err := analyzeRepository(ctx, repo, ddlPath, opts)
 	return res, err
 }
 
-// analyzeRepository is the repository entry point of the cached pipeline:
-// it lists the DDL file versions and project history once, addresses the
-// measure bundle by their content, and only on a miss extracts the schema
-// history (parsing and diffing every version) and measures it. With a
-// cache it also returns the bundle's key.
-func analyzeRepository(ctx context.Context, name, ddlPath string, repo *vcs.Repository, opts Options) (*ProjectResult, cache.Key, error) {
-	var key cache.Key
+// analyzeRepository is the repository entry point of the cached pipeline,
+// with its phases marked as engine stages: it locates the DDL file when
+// ddlPath is empty ("locate"), lists the file's versions and extracts the
+// project history ("extract"), and measures them through measureCached,
+// which parses and diffs the versions only when their bundle misses. With
+// a cache it also returns the bundle's key.
+func analyzeRepository(ctx context.Context, repo *vcs.Repository, ddlPath string, opts Options) (*ProjectResult, cache.Key, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, key, err
+		return nil, cache.Key{}, err
 	}
-	if repo.CommitCount() == 0 {
-		return nil, key, fmt.Errorf("study: %s: %w", name, history.ErrEmptyRepo)
+	name := repo.Name()
+	if ddlPath == "" {
+		engine.Stage(ctx, "locate")
+		found, err := history.FindDDLPath(repo)
+		if err != nil {
+			return nil, cache.Key{}, fmt.Errorf("study: %s: %w", name, err)
+		}
+		ddlPath = found
 	}
-	fvs := repo.FileVersions(ddlPath)
+	engine.Stage(ctx, "extract")
 	ph, err := history.ExtractProjectHistory(repo)
 	if err != nil {
-		return nil, key, fmt.Errorf("study: %s: %w", name, err)
+		return nil, cache.Key{}, fmt.Errorf("study: %s: %w", name, err)
 	}
+	fvs := repo.FileVersions(ddlPath)
+	at := func(i int) (time.Time, bool, []byte) { return fvs[i].Commit.When(), fvs[i].Deleted, fvs[i].Content }
+	extract := func() (*history.SchemaHistory, error) {
+		engine.Stage(ctx, "extract")
+		return history.ExtractSchemaHistoryFromVersions(ddlPath, fvs, opts.History)
+	}
+	return measureCached(ctx, name, ddlPath, ph, len(fvs), at, extract, opts)
+}
+
+// AnalyzeHistories measures a project given already-extracted histories
+// (the entry point for real-git ingestion, where the project history comes
+// from a parsed `git log` and the schema history from dated file
+// versions). It runs the one cached measure the repository entry points
+// run, so an ingested history and a generated repository with the same
+// versions and commits share a measure bundle. The schema history must
+// have been extracted with opts.History for the bundle's key to be
+// truthful.
+func AnalyzeHistories(name, ddlPath string, sh *history.SchemaHistory, ph *history.ProjectHistory, opts Options) (*ProjectResult, error) {
+	at := func(i int) (time.Time, bool, []byte) {
+		v := &sh.Versions[i]
+		return v.When(), v.Deleted, v.Raw
+	}
+	extract := func() (*history.SchemaHistory, error) { return sh, nil }
+	res, _, err := measureCached(context.Background(), name, ddlPath, ph, len(sh.Versions), at, extract, opts)
+	return res, err
+}
+
+// measureCached is how every project is measured. With a cache it looks
+// the measure bundle up (the "cache" stage) under the key measureKey
+// folds from the project history and the n schema versions at returns.
+// On a miss, or without a cache, it takes the schema history from
+// extract, analyzes it (the "measure" stage) and stores the bundle. The
+// repository road keys its raw file versions and parses them only in
+// extract, so a hit skips parsing and diffing; ingest keys the versions
+// of the history it already extracted. With a cache it also returns the
+// bundle's key.
+func measureCached(ctx context.Context, name, ddlPath string, ph *history.ProjectHistory,
+	n int, at versionAt, extract func() (*history.SchemaHistory, error), opts Options) (*ProjectResult, cache.Key, error) {
+	var key cache.Key
 	c := opts.Cache
 	if c != nil {
 		engine.Stage(ctx, "cache")
-		key = measureKeyFromVersions(fvs, ph, opts)
+		key = measureKey(n, at, ph, opts)
 		if res, ok := loadBundle(c, key); ok {
 			res.Name, res.DDLPath = name, ddlPath
 			return res, key, nil
 		}
 	}
-	engine.Stage(ctx, "extract")
-	sh, err := history.ExtractSchemaHistoryFromVersions(ddlPath, fvs, opts.History)
+	sh, err := extract()
 	if err != nil {
 		return nil, key, fmt.Errorf("study: %s: %w", name, err)
 	}
@@ -155,32 +193,6 @@ func analyzeRepository(ctx context.Context, name, ddlPath string, repo *vcs.Repo
 		storeBundle(c, key, res)
 	}
 	return res, key, nil
-}
-
-// AnalyzeHistories measures a project given already-extracted histories
-// (the entry point for real-git ingestion, where the project history comes
-// from a parsed `git log` and the schema history from file versions). With
-// a cache configured, the measure bundle is shared with the repository
-// entry points: the fingerprint covers the same version content, so an
-// ingested history and a generated repository hit the same entry. The
-// schema history must have been extracted with opts.History for the
-// fingerprint to be truthful.
-func AnalyzeHistories(name, ddlPath string, sh *history.SchemaHistory, ph *history.ProjectHistory, opts Options) (*ProjectResult, error) {
-	c := opts.Cache
-	if c == nil {
-		return analyze(context.Background(), name, ddlPath, sh, ph, opts)
-	}
-	key := measureKeyFromHistory(sh, ph, opts)
-	if res, ok := loadBundle(c, key); ok {
-		res.Name, res.DDLPath = name, ddlPath
-		return res, nil
-	}
-	res, err := analyze(context.Background(), name, ddlPath, sh, ph, opts)
-	if err != nil {
-		return nil, err
-	}
-	storeBundle(c, key, res)
-	return res, nil
 }
 
 // measureScratch holds the per-project working set of analyze() — the
@@ -324,24 +336,6 @@ func AnalyzeCorpusContext(ctx context.Context, projects []*corpus.Project, opts 
 			func(i int) string { return projects[i].Name },
 			func(i int) int { return i }, sink, opts)
 	})
-}
-
-// analyzeProjectStaged is the engine task body for one corpus project,
-// with the pipeline's phases marked as engine stages so the event stream
-// carries per-stage timings (locate, extract, cache, measure). With a
-// cache it also returns the key of the project's measure bundle.
-func analyzeProjectStaged(ctx context.Context, p *corpus.Project, opts Options) (*ProjectResult, cache.Key, error) {
-	ddlPath := p.DDLPath
-	if ddlPath == "" {
-		engine.Stage(ctx, "locate")
-		found, err := history.FindDDLPath(p.Repo)
-		if err != nil {
-			return nil, cache.Key{}, fmt.Errorf("study: %s: %w", p.Repo.Name(), err)
-		}
-		ddlPath = found
-	}
-	engine.Stage(ctx, "extract")
-	return analyzeRepository(ctx, p.Repo.Name(), ddlPath, p.Repo, opts)
 }
 
 // RunDefault generates the default 195-project corpus with the given seed

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -376,6 +377,28 @@ func TestEndToEndLargeStudy(t *testing.T) {
 		// get comes over the remote tier.
 		if c := combined[0].Cache; pass == "warm" && (c == nil || c.RemoteHits == 0) {
 			t.Errorf("warm: combined manifest records no remote cache hits: %+v", c)
+		}
+	}
+}
+
+// TestEndToEndTaxa pins `coevo taxa` stdout at seed 2023, at the default
+// θ and at θ=0.05. The command is the one reader of the per-taxon
+// histograms and the change-locality summary, which it builds from its
+// own Dataset; the digests are those of the output before study.Figures
+// stopped folding either view.
+func TestEndToEndTaxa(t *testing.T) {
+	if testing.Short() || race.Enabled {
+		t.Skip("two 195-project studies; skipped under -short and -race")
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"taxa", "-seed", "2023"}, "51ff4312eb385cbb46d73e07e562fbc0e17693e9bebfbe25a3a2fe5c66e6f1fb"},
+		{[]string{"taxa", "-seed", "2023", "-theta", "0.05"}, "f675e8569a25d7b8ef521e0db6b1ced01cb7af77e49ffc5181a8f714368342fa"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(coevo(t, c.args...)))); got != c.want {
+			t.Errorf("coevo %s: stdout sha256 %s, want %s", strings.Join(c.args, " "), got, c.want)
 		}
 	}
 }

@@ -93,7 +93,6 @@ func runStudy(ctx context.Context, args []string) (err error) {
 			cfg.Profiles[i].Count = *perTaxon
 		}
 	}
-	cfg.Obs = p.obs
 	src := corpus.NewSource(cfg)
 	fmt.Fprintf(os.Stderr, "generating and analyzing the %d-project corpus (seed %d, %s)...\n",
 		src.Len(), *seed, workersLabel(opts.Exec.Workers))

@@ -84,9 +84,9 @@ type (
 	CacheStats = cache.Stats
 	// Observer is the unified observability handle (spans with a Chrome
 	// trace exporter, a metrics registry with Prometheus-style exposition,
-	// structured logging); set it on Options.Obs and CorpusConfig.Obs. A
-	// nil *Observer is a valid zero-cost no-op, and study output is
-	// byte-identical with observability on or off.
+	// structured logging); set it on Options.Obs, and on CorpusConfig.Obs
+	// for GenerateCorpus. A nil *Observer is a valid zero-cost no-op, and
+	// study output is byte-identical with observability on or off.
 	Observer = obs.Observer
 	// ObserverOptions configures an Observer; see NewObserver.
 	ObserverOptions = obs.Options
@@ -174,8 +174,8 @@ const (
 func NewExecMetrics() *ExecMetrics { return engine.NewMetrics() }
 
 // NewObserver builds an observability handle from opts; thread it through
-// Options.Obs (and CorpusConfig.Obs) and harvest with Observer.WriteTrace
-// and Observer.Metrics().WritePrometheus after the run.
+// Options.Obs (and CorpusConfig.Obs for GenerateCorpus) and harvest with
+// Observer.WriteTrace and Observer.Metrics().WritePrometheus after the run.
 func NewObserver(opts ObserverOptions) *Observer { return obs.New(opts) }
 
 // ServeTelemetry binds the embedded observability server. The listener
@@ -322,7 +322,8 @@ func StreamStudy(ctx context.Context, seed int64, opts Options, sink StudySink) 
 type PartialFigures = study.PartialFigures
 
 // DecodePartialFigures reconstructs a sealed partial from EncodePartial
-// bytes, rejecting truncated, oversized or version-skewed payloads.
+// bytes, rejecting truncated, oversized, version-skewed or out-of-order
+// payloads.
 func DecodePartialFigures(data []byte) (*PartialFigures, error) {
 	return study.DecodePartialFigures(data)
 }

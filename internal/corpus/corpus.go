@@ -185,11 +185,12 @@ type Config struct {
 	// it.
 	Epoch             time.Time
 	StartSpreadMonths int
-	// Exec configures the execution engine projects are materialized on.
-	// Each project derives its own rand source from Seed and its index, so
-	// the corpus is bit-for-bit identical at any worker count. Generation
-	// failures are configuration errors, so the engine always runs this
-	// workload fail-fast regardless of Exec.Policy.
+	// Exec configures the engine EachContext (and so GenerateContext)
+	// materializes projects on; a study generates in its own analyze
+	// engine instead. Each project derives its own rand source from Seed
+	// and its index, so the corpus is bit-for-bit identical at any worker
+	// count. Generation failures are configuration errors, so the engine
+	// always runs this workload fail-fast regardless of Exec.Policy.
 	Exec engine.Options
 
 	// Cache is not read: generated repositories are not cached. A study
@@ -200,9 +201,10 @@ type Config struct {
 	// effect.
 	Cache *cache.Cache
 
-	// Obs, when non-nil, traces generation as a "generate" span (with
+	// Obs, when non-nil, traces EachContext as a "generate" span (with
 	// per-project task spans from the engine), feeds the unified metrics
-	// registry and logs progress. Generation output never depends on it.
+	// registry and logs progress; a study observes generation through
+	// study.Options.Obs. Generation output never depends on it.
 	Obs *obs.Observer
 }
 

@@ -111,9 +111,7 @@ func (e *Executor) runStudy(ctx context.Context, j *Job, rep RunReport, metrics 
 	opts.Obs = e.Obs
 	opts.History.Dialect = specDialect(spec.Dialect)
 
-	cfg := studyCorpus(spec)
-	cfg.Obs = e.Obs
-	src := corpus.NewSource(cfg)
+	src := corpus.NewSource(studyCorpus(spec))
 
 	figs := study.NewFigures()
 	sinks := []study.Sink{figs}

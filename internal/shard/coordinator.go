@@ -138,18 +138,26 @@ func Run(ctx context.Context, addrs []string, req RunRequest) (*Result, error) {
 }
 
 // Merge folds shard responses into one Result — the only place partial
-// figures are decoded and combined. resps[i] must be shard i's response:
-// partials fold in shard order, cache and stage bookkeeping sum across
-// shards, and failures and CSV rows sort by global corpus index, so the
-// result is byte-identical to the single-process run. Shard addresses and
-// the trace id are the caller's to fill in.
+// figures are decoded and combined. resps[i] must be shard i's response,
+// and its partial must hold the Projects it reports; a response that
+// fails either check is refused. Partials fold in shard order, cache and
+// stage bookkeeping sum across shards, and failures and CSV rows sort by
+// global corpus index, so the result is byte-identical to the
+// single-process run. Shard addresses and the trace id are the caller's
+// to fill in.
 func Merge(resps []*RunResponse) (*Result, error) {
 	res := &Result{Figures: study.NewFigures()}
 	var cacheSum cache.Stats
 	for i, r := range resps {
+		if r.Shard != i {
+			return nil, fmt.Errorf("shard %d: response is for shard %d", i, r.Shard)
+		}
 		part, err := study.DecodePartialFigures(r.Figures)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: decode partial: %w", i, err)
+		}
+		if part.Count() != r.Projects {
+			return nil, fmt.Errorf("shard %d: partial holds %d projects, response reports %d", i, part.Count(), r.Projects)
 		}
 		if err := res.Figures.Merge(part); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)

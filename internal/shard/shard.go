@@ -191,8 +191,6 @@ func (w *Worker) Run(ctx context.Context, req *RunRequest) (*RunResponse, error)
 			cfg.Profiles[i].Count = req.PerTaxon
 		}
 	}
-	cfg.Exec.Workers = w.Workers
-	cfg.Obs = w.Obs
 
 	opts := study.DefaultOptions()
 	opts.Exec = eopts

@@ -330,3 +330,29 @@ func TestPartialDecodeRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage must not decode")
 	}
 }
+
+// TestMergeRefusesMisaddressedResponses: the coordinator reads what a
+// response says about itself. A response in another shard's position,
+// or whose partial does not hold the projects it reports, fails the
+// merge instead of folding into a population nobody asked for.
+func TestMergeRefusesMisaddressedResponses(t *testing.T) {
+	empty := study.NewFigures().EncodePartial()
+	for _, c := range []struct {
+		name  string
+		resps []*RunResponse
+		fails bool
+	}{
+		{"in position", []*RunResponse{{Shard: 0, Figures: empty}, {Shard: 1, Figures: empty}}, false},
+		{"swapped", []*RunResponse{{Shard: 1, Figures: empty}, {Shard: 0, Figures: empty}}, true},
+		{"repeated", []*RunResponse{{Shard: 0, Figures: empty}, {Shard: 0, Figures: empty}}, true},
+		{"projects without a partial", []*RunResponse{{Shard: 0, Projects: 3, Figures: empty}}, true},
+	} {
+		_, err := Merge(c.resps)
+		if c.fails && err == nil {
+			t.Errorf("%s: merged", c.name)
+		}
+		if !c.fails && err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}

@@ -90,10 +90,6 @@ type lexer struct {
 	dialect Dialect
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1}
-}
-
 // next returns the next token, or a tokEOF token at end of input.
 func (l *lexer) next() (token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {

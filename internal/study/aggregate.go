@@ -53,11 +53,6 @@ func deliver(sink Sink, seq int64, p *ProjectResult) error {
 	return sink.Add(p)
 }
 
-// AggregatorSink adapts any Aggregator to the (fallible) Sink interface.
-func AggregatorSink(a Aggregator) Sink {
-	return SinkFunc(func(p *ProjectResult) error { a.Add(p); return nil })
-}
-
 // MultiSink fans each result out to every sink in order, stopping at the
 // first error. The returned sink is index-aware: members that implement
 // IndexedSink receive the corpus index, plain Sinks just the result.
@@ -188,20 +183,18 @@ func (a *TaxonSyncHistogramAccumulator) ByTaxon() map[taxa.Taxon]*SyncHistogram 
 // corpus order (see partial.go) — the point cloud is the one figure
 // whose rendering is order-sensitive.
 type ScatterAccumulator struct {
-	seqs   []int64
-	points []ScatterPoint
+	points seqVec[ScatterPoint]
 }
 
 // NewScatterAccumulator prepares an empty point cloud.
 func NewScatterAccumulator() *ScatterAccumulator { return &ScatterAccumulator{} }
 
 // Add implements Aggregator.
-func (a *ScatterAccumulator) Add(p *ProjectResult) { a.addAt(int64(len(a.points)), p) }
+func (a *ScatterAccumulator) Add(p *ProjectResult) { a.addAt(int64(len(a.points.seqs)), p) }
 
 // addAt folds one project keyed by its corpus sequence number.
 func (a *ScatterAccumulator) addAt(seq int64, p *ProjectResult) {
-	a.seqs = append(a.seqs, seq)
-	a.points = append(a.points, ScatterPoint{
+	a.points.add(seq, ScatterPoint{
 		Name:     p.Name,
 		Taxon:    p.Taxon,
 		Duration: p.DurationMonths,
@@ -210,7 +203,7 @@ func (a *ScatterAccumulator) addAt(seq int64, p *ProjectResult) {
 }
 
 // Points returns the aggregate in fold (= corpus sequence) order.
-func (a *ScatterAccumulator) Points() []ScatterPoint { return a.points }
+func (a *ScatterAccumulator) Points() []ScatterPoint { return a.points.vals }
 
 // SyncBandAccumulator counts the Figure 5 finding online: long-lived
 // projects inside vs outside a synchronicity band.
@@ -376,13 +369,9 @@ func (a *AttainmentAccumulator) Breakdown() *AttainmentBreakdown {
 
 // LocalityAccumulator builds the change-locality summary online. It
 // keeps two floats per qualifying project (medians need the full
-// distributions), never the histories. Shares carry their corpus
-// sequence number so merged partials restore the exact sequential
-// vectors (the medians themselves are order-free, but byte-identity of
-// the serialized partial is not).
+// distributions), never the histories.
 type LocalityAccumulator struct {
 	minTables                  int
-	seqs                       []int64
 	topShares, unchangedShares []float64
 }
 
@@ -393,15 +382,11 @@ func NewLocalityAccumulator(minTables int) *LocalityAccumulator {
 }
 
 // Add implements Aggregator.
-func (a *LocalityAccumulator) Add(p *ProjectResult) { a.addAt(int64(len(a.topShares)), p) }
-
-// addAt folds one project keyed by its corpus sequence number.
-func (a *LocalityAccumulator) addAt(seq int64, p *ProjectResult) {
+func (a *LocalityAccumulator) Add(p *ProjectResult) {
 	loc := p.Locality
 	if loc.Tables < a.minTables || loc.TotalChanges == 0 {
 		return
 	}
-	a.seqs = append(a.seqs, seq)
 	a.topShares = append(a.topShares, loc.TopShare)
 	a.unchangedShares = append(a.unchangedShares, loc.UnchangedShare)
 }
@@ -422,7 +407,6 @@ func (a *LocalityAccumulator) Summary() *LocalitySummary {
 // append-per-attribute fold — and rows keyed by corpus sequence number
 // make the accumulator mergeable across shards (see partial.go).
 type statsRow struct {
-	seq                 int64
 	taxon               taxa.Taxon
 	durationMonths      int
 	sync5, sync10       float64
@@ -441,7 +425,7 @@ type statsRow struct {
 // correlation pairs — without retaining the projects themselves.
 type StatsAccumulator struct {
 	// rows hold one scalar record per project, in corpus sequence order.
-	rows []statsRow
+	rows seqVec[statsRow]
 }
 
 // NewStatsAccumulator prepares the Section 7 state.
@@ -450,12 +434,11 @@ func NewStatsAccumulator() *StatsAccumulator {
 }
 
 // Add implements Aggregator.
-func (a *StatsAccumulator) Add(p *ProjectResult) { a.addAt(int64(len(a.rows)), p) }
+func (a *StatsAccumulator) Add(p *ProjectResult) { a.addAt(int64(len(a.rows.seqs)), p) }
 
 // addAt folds one project keyed by its corpus sequence number.
 func (a *StatsAccumulator) addAt(seq int64, p *ProjectResult) {
-	a.rows = append(a.rows, statsRow{
-		seq:                 seq,
+	a.rows.add(seq, statsRow{
 		taxon:               p.Taxon,
 		durationMonths:      p.DurationMonths,
 		sync5:               p.Measures.Sync5,
@@ -477,10 +460,11 @@ func (a *StatsAccumulator) addAt(seq int64, p *ProjectResult) {
 // inputs are materialized from the rows in row (= corpus) order, so the
 // report matches the pre-refactor per-attribute fold exactly.
 func (a *StatsAccumulator) Report(seed int64) (*StatsReport, error) {
-	if len(a.rows) < 10 {
-		return nil, fmt.Errorf("study: statistics need a populated dataset, have %d projects", len(a.rows))
+	rows := a.rows.vals
+	if len(rows) < 10 {
+		return nil, fmt.Errorf("study: statistics need a populated dataset, have %d projects", len(rows))
 	}
-	n := len(a.rows)
+	n := len(rows)
 	attrs := map[string][]float64{
 		"duration_months":       make([]float64, 0, n),
 		"sync_10":               make([]float64, 0, n),
@@ -497,8 +481,8 @@ func (a *StatsAccumulator) Report(seed int64) (*StatsReport, error) {
 	srcTbl := stats.NewTable(taxa.Count, 2)
 	bothTbl := stats.NewTable(taxa.Count, 2)
 	var s5, s10, advT, advS []float64
-	for i := range a.rows {
-		row := &a.rows[i]
+	for i := range rows {
+		row := &rows[i]
 		attrs["duration_months"] = append(attrs["duration_months"], float64(row.durationMonths))
 		attrs["sync_10"] = append(attrs["sync_10"], row.sync10)
 		attrs["sync_5"] = append(attrs["sync_5"], row.sync5)
@@ -578,40 +562,38 @@ func (a *StatsAccumulator) Report(seed int64) (*StatsReport, error) {
 	return r, nil
 }
 
-// Figures bundles every evaluation aggregate behind one Sink: the
-// paper's five figures, the per-taxon views, the locality summary and
-// the Section 7 statistics, all fed one streamed ProjectResult at a
-// time. It is what `coevo study`, the job service and the benchmarks
-// aggregate into.
+// Figures bundles the aggregates a study renders behind one Sink: the
+// paper's five figures, the Section 7 statistics and the parse-health
+// report (report.StudySections), all fed one streamed ProjectResult at a
+// time. It is what `coevo study`, the job service, shard workers and the
+// benchmarks aggregate into. Views no section renders, such as the
+// per-taxon histograms and the change-locality summary, are Dataset
+// methods over their own accumulators.
 type Figures struct {
-	Sync        *SyncHistogramAccumulator      // Figure 4 (θ=0.10, 5 buckets)
-	SyncByTaxon *TaxonSyncHistogramAccumulator // per-taxon Figure 4 view
-	Scatter     *ScatterAccumulator            // Figure 5
-	Band        *SyncBandAccumulator           // Figure 5 long-project band
-	Advance     *AdvanceAccumulator            // Figure 6
-	Always      *AlwaysAdvanceAccumulator      // Figure 7
-	Attainment  *AttainmentAccumulator         // Figure 8
-	Locality    *LocalityAccumulator           // change-locality summary
-	Stats       *StatsAccumulator              // Section 7
-	Health      *ParseHealthAccumulator        // parse-health report
-	count       int
+	Sync       *SyncHistogramAccumulator // Figure 4 (θ=0.10, 5 buckets)
+	Scatter    *ScatterAccumulator       // Figure 5
+	Band       *SyncBandAccumulator      // Figure 5 long-project band
+	Advance    *AdvanceAccumulator       // Figure 6
+	Always     *AlwaysAdvanceAccumulator // Figure 7
+	Attainment *AttainmentAccumulator    // Figure 8
+	Stats      *StatsAccumulator         // Section 7
+	Health     *ParseHealthAccumulator   // parse-health report
+	count      int
 }
 
-// NewFigures prepares the full evaluation with the paper's parameters
-// (θ=0.10 five-bucket histograms, 60-month/[0.2,0.8] band, α ∈ {50, 75,
-// 80, 100}%, locality over ≥5-table projects).
+// NewFigures prepares the study's aggregates with the paper's parameters
+// (θ=0.10 five-bucket histogram, 60-month/[0.2,0.8] band, α ∈ {50, 75,
+// 80, 100}%).
 func NewFigures() *Figures {
 	return &Figures{
-		Sync:        NewSyncHistogramAccumulator(0.10, 5),
-		SyncByTaxon: NewTaxonSyncHistogramAccumulator(0.10, 5),
-		Scatter:     NewScatterAccumulator(),
-		Band:        NewSyncBandAccumulator(60, 0.2, 0.8),
-		Advance:     NewAdvanceAccumulator(),
-		Always:      NewAlwaysAdvanceAccumulator(),
-		Attainment:  NewAttainmentAccumulator([]float64{0.50, 0.75, 0.80, 1.00}, []float64{0.2, 0.5, 0.8, 1.0}),
-		Locality:    NewLocalityAccumulator(5),
-		Stats:       NewStatsAccumulator(),
-		Health:      NewParseHealthAccumulator(),
+		Sync:       NewSyncHistogramAccumulator(0.10, 5),
+		Scatter:    NewScatterAccumulator(),
+		Band:       NewSyncBandAccumulator(60, 0.2, 0.8),
+		Advance:    NewAdvanceAccumulator(),
+		Always:     NewAlwaysAdvanceAccumulator(),
+		Attainment: NewAttainmentAccumulator([]float64{0.50, 0.75, 0.80, 1.00}, []float64{0.2, 0.5, 0.8, 1.0}),
+		Stats:      NewStatsAccumulator(),
+		Health:     NewParseHealthAccumulator(),
 	}
 }
 
@@ -623,20 +605,18 @@ func (f *Figures) Add(p *ProjectResult) error {
 }
 
 // AddAt implements IndexedSink, folding p into every aggregate keyed by
-// its corpus sequence number. The order-sensitive aggregates (scatter,
-// locality, statistics rows) record seq so partials built from disjoint
+// its corpus sequence number. The order-sensitive aggregates (scatter
+// points, statistics rows) record seq so partials built from disjoint
 // shards merge back into exactly the sequential fold; the commutative
 // counters ignore it.
 func (f *Figures) AddAt(seq int64, p *ProjectResult) error {
 	f.count++
 	f.Sync.Add(p)
-	f.SyncByTaxon.Add(p)
 	f.Scatter.addAt(seq, p)
 	f.Band.Add(p)
 	f.Advance.Add(p)
 	f.Always.Add(p)
 	f.Attainment.Add(p)
-	f.Locality.addAt(seq, p)
 	f.Stats.addAt(seq, p)
 	f.Health.Add(p)
 	return nil

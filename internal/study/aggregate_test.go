@@ -96,9 +96,6 @@ func TestAggregatorsMatchDatasetMethods(t *testing.T) {
 	if got, want := figs.Sync.Histogram(), d.SynchronicityHistogram(0.10, 5); !reflect.DeepEqual(got, want) {
 		t.Errorf("Sync histogram: %+v != %+v", got, want)
 	}
-	if got, want := figs.SyncByTaxon.ByTaxon(), d.SynchronicityHistogramByTaxon(0.10, 5); !reflect.DeepEqual(got, want) {
-		t.Errorf("per-taxon histograms differ")
-	}
 	if got, want := figs.Scatter.Points(), d.DurationSynchronicityScatter(); !reflect.DeepEqual(got, want) {
 		t.Errorf("scatter points differ")
 	}
@@ -115,9 +112,6 @@ func TestAggregatorsMatchDatasetMethods(t *testing.T) {
 	}
 	if got, want := figs.Attainment.Breakdown(), d.Attainment(); !reflect.DeepEqual(got, want) {
 		t.Errorf("attainment breakdown differs")
-	}
-	if got, want := figs.Locality.Summary(), d.ChangeLocality(5); !reflect.DeepEqual(got, want) {
-		t.Errorf("locality summary: %+v != %+v", got, want)
 	}
 	gotStats, gotErr := figs.Stats.Report(11)
 	wantStats, wantErr := d.Statistics(11)

@@ -10,12 +10,18 @@ package study
 //   - Commutative counters (histogram buckets, band/advance/attainment
 //     counts, parse-health sums) merge by element-wise addition; any
 //     merge order yields the same state.
-//   - Order-sensitive vectors (the scatter point cloud, the locality
-//     share distributions, the Section 7 statistics rows) carry each
-//     entry's global corpus sequence number, and merging interleaves
-//     them back into ascending sequence order. Any merge order of
-//     disjoint partials therefore reproduces the sequential vectors —
-//     the merge laws the property tests in partial_test.go check.
+//   - Order-sensitive vectors (the scatter point cloud and the Section 7
+//     statistics rows) carry each entry's global corpus sequence number,
+//     and merging interleaves them back into ascending sequence order.
+//     Any merge order of disjoint partials therefore reproduces the
+//     sequential vectors — the merge laws the property tests in
+//     partial_test.go check.
+//
+// A partial is input from another process, so both laws are enforced,
+// not assumed: decoding refuses vectors that are not in strictly
+// ascending sequence order or that do not hold one entry per folded
+// project, and Merge refuses a sequence number present on both sides (a
+// project folded twice) before it changes anything.
 //
 // Partials travel between processes through a versioned binary codec
 // built on the cache codec (internal/cache.Enc/Dec), the same idiom the
@@ -25,7 +31,9 @@ package study
 // built at a different codec version instead of mis-decoding them.
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"coevo/internal/cache"
 	"coevo/internal/stats"
@@ -39,8 +47,9 @@ type PartialFigures = Figures
 
 // partialFiguresMagic versions the partial-figures wire format. v1:
 // initial layout (seq-keyed scatter/locality/stats vectors, commutative
-// counter sums, parse-health totals).
-const partialFiguresMagic = "coevo/partial-figures/v1"
+// counter sums, parse-health totals). v2: v1 without the per-taxon
+// histograms and the locality shares, which no study section renders.
+const partialFiguresMagic = "coevo/partial-figures/v2"
 
 // decodeCap bounds length-prefixed preallocation while decoding, so a
 // corrupt or adversarial length cannot demand gigabytes up front; the
@@ -48,37 +57,55 @@ const partialFiguresMagic = "coevo/partial-figures/v1"
 const decodeCap = 4096
 
 // Merge folds o into f. Both must have been built with the same figure
-// configuration (θ, bucket counts, band, α thresholds, locality floor);
-// a mismatch is an error, not a silently wrong figure. Merging partials
-// built over disjoint corpus shards — in any order — reproduces the
-// state of one sequential fold over the union, because commutative
-// counters add and sequence-keyed vectors re-interleave into corpus
-// order. o is left in an unspecified state and must not be used again.
+// configuration (θ, bucket counts, band, α thresholds); a mismatch is an
+// error, not a silently wrong figure. So is a corpus sequence number
+// present in both: the partials overlap. Merge checks both before it
+// changes f, so on an error f is as it was. Merging partials built over
+// disjoint corpus shards — in any order — reproduces the state of one
+// sequential fold over the union, because commutative counters add and
+// sequence-keyed vectors re-interleave into corpus order. o is left in
+// an unspecified state and must not be used again.
 func (f *Figures) Merge(o *Figures) error {
 	if o == nil {
 		return nil
 	}
-	if err := f.Sync.merge(o.Sync); err != nil {
+	if err := f.compatible(o); err != nil {
 		return fmt.Errorf("study: merge figures: %w", err)
 	}
-	if err := f.SyncByTaxon.merge(o.SyncByTaxon); err != nil {
-		return fmt.Errorf("study: merge figures: %w", err)
+	points, err := mergeBySeq(f.Scatter.points, o.Scatter.points)
+	if err != nil {
+		return fmt.Errorf("study: merge figures: scatter: %w", err)
 	}
-	f.Scatter.merge(o.Scatter)
-	if err := f.Band.merge(o.Band); err != nil {
-		return fmt.Errorf("study: merge figures: %w", err)
+	rows, err := mergeBySeq(f.Stats.rows, o.Stats.rows)
+	if err != nil {
+		return fmt.Errorf("study: merge figures: statistics: %w", err)
 	}
+	f.Scatter.points, f.Stats.rows = points, rows
+	f.Sync.merge(o.Sync)
+	f.Band.merge(o.Band)
 	f.Advance.merge(o.Advance)
 	f.Always.merge(o.Always)
-	if err := f.Attainment.merge(o.Attainment); err != nil {
-		return fmt.Errorf("study: merge figures: %w", err)
-	}
-	if err := f.Locality.merge(o.Locality); err != nil {
-		return fmt.Errorf("study: merge figures: %w", err)
-	}
-	f.Stats.merge(o.Stats)
+	f.Attainment.merge(o.Attainment)
 	f.Health.merge(o.Health)
 	f.count += o.count
+	return nil
+}
+
+// compatible reports why o cannot merge into f: partials folded under
+// different accumulator configurations count different populations.
+func (f *Figures) compatible(o *Figures) error {
+	if a, b := f.Sync.h, o.Sync.h; a.Theta != b.Theta || len(a.Buckets) != len(b.Buckets) {
+		return fmt.Errorf("sync histogram config mismatch (θ=%g/%d vs θ=%g/%d)",
+			a.Theta, len(a.Buckets), b.Theta, len(b.Buckets))
+	}
+	if a, b := f.Band, o.Band; a.thresholdMonths != b.thresholdMonths || a.lo != b.lo || a.hi != b.hi {
+		return fmt.Errorf("sync band config mismatch (%dmo [%g,%g] vs %dmo [%g,%g])",
+			a.thresholdMonths, a.lo, a.hi, b.thresholdMonths, b.lo, b.hi)
+	}
+	if a, b := f.Attainment, o.Attainment; !slices.Equal(a.alphas, b.alphas) || !slices.Equal(a.rangeEdges, b.rangeEdges) {
+		return fmt.Errorf("attainment config mismatch (α=%v/%v vs α=%v/%v)",
+			a.alphas, a.rangeEdges, b.alphas, b.rangeEdges)
+	}
 	return nil
 }
 
@@ -92,22 +119,15 @@ func (f *Figures) EncodePartial() []byte {
 	e.String(partialFiguresMagic)
 	e.Int(int64(f.count))
 
-	// Figure 4 histogram and its per-taxon view.
+	// Figure 4 histogram.
 	e.Float(f.Sync.h.Theta)
 	encodeIntsP(e, f.Sync.h.Buckets)
 	e.Int(int64(f.Sync.h.Skipped))
-	e.Float(f.SyncByTaxon.theta)
-	e.Uvarint(uint64(taxa.Count))
-	for _, taxon := range taxa.All() {
-		h := f.SyncByTaxon.byTax[taxon]
-		encodeIntsP(e, h.Buckets)
-		e.Int(int64(h.Skipped))
-	}
 
 	// Figure 5 point cloud, sequence-keyed.
-	e.Uvarint(uint64(len(f.Scatter.points)))
-	for i, p := range f.Scatter.points {
-		e.Int(f.Scatter.seqs[i])
+	e.Uvarint(uint64(len(f.Scatter.points.vals)))
+	for i, p := range f.Scatter.points.vals {
+		e.Int(f.Scatter.points.seqs[i])
 		e.String(p.Name)
 		e.Uvarint(uint64(p.Taxon))
 		e.Int(int64(p.Duration))
@@ -149,20 +169,11 @@ func (f *Figures) EncodePartial() []byte {
 	}
 	e.Int(int64(f.Attainment.total))
 
-	// Change locality, sequence-keyed.
-	e.Int(int64(f.Locality.minTables))
-	e.Uvarint(uint64(len(f.Locality.topShares)))
-	for i := range f.Locality.topShares {
-		e.Int(f.Locality.seqs[i])
-		e.Float(f.Locality.topShares[i])
-		e.Float(f.Locality.unchangedShares[i])
-	}
-
 	// Section 7 statistics rows, sequence-keyed.
-	e.Uvarint(uint64(len(f.Stats.rows)))
-	for i := range f.Stats.rows {
-		r := &f.Stats.rows[i]
-		e.Int(r.seq)
+	e.Uvarint(uint64(len(f.Stats.rows.vals)))
+	for i := range f.Stats.rows.vals {
+		r := &f.Stats.rows.vals[i]
+		e.Int(f.Stats.rows.seqs[i])
 		e.Uvarint(uint64(r.taxon))
 		e.Int(int64(r.durationMonths))
 		e.Float(r.sync5)
@@ -201,7 +212,8 @@ func (f *Figures) EncodePartial() []byte {
 
 // DecodePartialFigures rebuilds a PartialFigures from its serialized
 // form. Any malformed input — wrong magic, truncated fields, trailing
-// bytes, impossible shapes — is an error, never a panic or a silently
+// bytes, impossible shapes, sequence-keyed vectors out of order or not
+// one entry per project — is an error, never a panic or a silently
 // partial decode.
 func DecodePartialFigures(data []byte) (*PartialFigures, error) {
 	d := cache.NewDec(data)
@@ -215,25 +227,11 @@ func DecodePartialFigures(data []byte) (*PartialFigures, error) {
 	h := &SyncHistogram{Theta: theta, Buckets: buckets, Labels: bucketLabels(len(buckets)), Skipped: int(d.Int())}
 	f.Sync = &SyncHistogramAccumulator{h: h}
 
-	taxTheta := d.Float()
-	if n := d.Uvarint(); !d.Failed() && n != uint64(taxa.Count) {
-		return nil, fmt.Errorf("study: partial figures: %d taxa histograms (want %d)", n, taxa.Count)
-	}
-	byTax := make(map[taxa.Taxon]*SyncHistogram, taxa.Count)
-	for _, taxon := range taxa.All() {
-		tb := decodeIntsP(d)
-		byTax[taxon] = &SyncHistogram{Theta: taxTheta, Buckets: tb, Labels: bucketLabels(len(tb)), Skipped: int(d.Int())}
-	}
-	f.SyncByTaxon = &TaxonSyncHistogramAccumulator{theta: taxTheta, byTax: byTax}
-
 	f.Scatter = NewScatterAccumulator()
 	nPoints := d.Uvarint()
-	capHint := min(nPoints, decodeCap)
-	f.Scatter.seqs = make([]int64, 0, capHint)
-	f.Scatter.points = make([]ScatterPoint, 0, capHint)
+	f.Scatter.points = makeSeqVec[ScatterPoint](nPoints)
 	for i := uint64(0); i < nPoints && !d.Failed(); i++ {
-		f.Scatter.seqs = append(f.Scatter.seqs, d.Int())
-		f.Scatter.points = append(f.Scatter.points, ScatterPoint{
+		f.Scatter.points.add(d.Int(), ScatterPoint{
 			Name:     d.String(),
 			Taxon:    taxa.Taxon(d.Uvarint()),
 			Duration: int(d.Int()),
@@ -282,24 +280,11 @@ func DecodePartialFigures(data []byte) (*PartialFigures, error) {
 	}
 	f.Attainment.total = int(d.Int())
 
-	f.Locality = NewLocalityAccumulator(int(d.Int()))
-	nLoc := d.Uvarint()
-	capHint = min(nLoc, decodeCap)
-	f.Locality.seqs = make([]int64, 0, capHint)
-	f.Locality.topShares = make([]float64, 0, capHint)
-	f.Locality.unchangedShares = make([]float64, 0, capHint)
-	for i := uint64(0); i < nLoc && !d.Failed(); i++ {
-		f.Locality.seqs = append(f.Locality.seqs, d.Int())
-		f.Locality.topShares = append(f.Locality.topShares, d.Float())
-		f.Locality.unchangedShares = append(f.Locality.unchangedShares, d.Float())
-	}
-
 	f.Stats = NewStatsAccumulator()
 	nRows := d.Uvarint()
-	f.Stats.rows = make([]statsRow, 0, min(nRows, decodeCap))
+	f.Stats.rows = makeSeqVec[statsRow](nRows)
 	for i := uint64(0); i < nRows && !d.Failed(); i++ {
-		f.Stats.rows = append(f.Stats.rows, statsRow{
-			seq:                 d.Int(),
+		f.Stats.rows.add(d.Int(), statsRow{
 			taxon:               taxa.Taxon(d.Uvarint()),
 			durationMonths:      int(d.Int()),
 			sync5:               d.Float(),
@@ -339,6 +324,16 @@ func DecodePartialFigures(data []byte) (*PartialFigures, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("study: partial figures: %w", err)
 	}
+	// A fold adds one point and one row per project, in the order the
+	// stream delivers them; anything else would merge into misordered or
+	// duplicated rows.
+	if len(f.Scatter.points.seqs) != f.count || len(f.Stats.rows.seqs) != f.count {
+		return nil, fmt.Errorf("study: partial figures: %d scatter points and %d statistics rows for %d projects",
+			len(f.Scatter.points.seqs), len(f.Stats.rows.seqs), f.count)
+	}
+	if !ascending(f.Scatter.points.seqs) || !ascending(f.Stats.rows.seqs) {
+		return nil, errors.New("study: partial figures: corpus indices not strictly increasing")
+	}
 	return f, nil
 }
 
@@ -353,68 +348,78 @@ func bucketLabels(n int) []string {
 
 // ---- per-accumulator merges ----
 
-func (a *SyncHistogramAccumulator) merge(b *SyncHistogramAccumulator) error {
-	if a.h.Theta != b.h.Theta || len(a.h.Buckets) != len(b.h.Buckets) {
-		return fmt.Errorf("sync histogram config mismatch (θ=%g/%d vs θ=%g/%d)",
-			a.h.Theta, len(a.h.Buckets), b.h.Theta, len(b.h.Buckets))
+// seqVec is an order-sensitive vector: vals[i] came from the project at
+// corpus sequence number seqs[i], and a fold appends in ascending order.
+type seqVec[T any] struct {
+	seqs []int64
+	vals []T
+}
+
+// makeSeqVec preallocates a decoded vector of n entries, clamped like
+// every other decoded length.
+func makeSeqVec[T any](n uint64) seqVec[T] {
+	c := min(n, decodeCap)
+	return seqVec[T]{make([]int64, 0, c), make([]T, 0, c)}
+}
+
+func (v *seqVec[T]) add(seq int64, x T) {
+	v.seqs = append(v.seqs, seq)
+	v.vals = append(v.vals, x)
+}
+
+// ascending reports whether seqs is strictly ascending, the order a fold
+// keeps and mergeBySeq relies on.
+func ascending(seqs []int64) bool {
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] <= seqs[i-1] {
+			return false
+		}
 	}
+	return true
+}
+
+// mergeBySeq interleaves two vectors, each in strictly ascending
+// sequence order, into one ascending vector, without modifying either;
+// the result is a or b itself when the other is empty. A sequence
+// number on both sides is an error: the two partials folded the same
+// project.
+func mergeBySeq[T any](a, b seqVec[T]) (seqVec[T], error) {
+	if len(b.seqs) == 0 {
+		return a, nil
+	}
+	if len(a.seqs) == 0 {
+		return b, nil
+	}
+	n := len(a.seqs) + len(b.seqs)
+	out := seqVec[T]{make([]int64, 0, n), make([]T, 0, n)}
+	i, j := 0, 0
+	for i < len(a.seqs) && j < len(b.seqs) {
+		switch sa, sb := a.seqs[i], b.seqs[j]; {
+		case sa < sb:
+			out.add(sa, a.vals[i])
+			i++
+		case sb < sa:
+			out.add(sb, b.vals[j])
+			j++
+		default:
+			return seqVec[T]{}, fmt.Errorf("corpus index %d is in both partials", sa)
+		}
+	}
+	out.seqs = append(append(out.seqs, a.seqs[i:]...), b.seqs[j:]...)
+	out.vals = append(append(out.vals, a.vals[i:]...), b.vals[j:]...)
+	return out, nil
+}
+
+func (a *SyncHistogramAccumulator) merge(b *SyncHistogramAccumulator) {
 	for i := range a.h.Buckets {
 		a.h.Buckets[i] += b.h.Buckets[i]
 	}
 	a.h.Skipped += b.h.Skipped
-	return nil
 }
 
-func (a *TaxonSyncHistogramAccumulator) merge(b *TaxonSyncHistogramAccumulator) error {
-	if a.theta != b.theta {
-		return fmt.Errorf("per-taxon histogram θ mismatch (%g vs %g)", a.theta, b.theta)
-	}
-	for _, taxon := range taxa.All() {
-		ah, bh := a.byTax[taxon], b.byTax[taxon]
-		if len(ah.Buckets) != len(bh.Buckets) {
-			return fmt.Errorf("per-taxon histogram bucket mismatch for %s (%d vs %d)",
-				taxon, len(ah.Buckets), len(bh.Buckets))
-		}
-		for i := range ah.Buckets {
-			ah.Buckets[i] += bh.Buckets[i]
-		}
-		ah.Skipped += bh.Skipped
-	}
-	return nil
-}
-
-func (a *ScatterAccumulator) merge(b *ScatterAccumulator) {
-	if len(b.points) == 0 {
-		return
-	}
-	if len(a.points) == 0 {
-		a.seqs = append(a.seqs[:0], b.seqs...)
-		a.points = append(a.points[:0], b.points...)
-		return
-	}
-	seqs := make([]int64, 0, len(a.seqs)+len(b.seqs))
-	points := make([]ScatterPoint, 0, len(a.points)+len(b.points))
-	i, j := 0, 0
-	for i < len(a.seqs) || j < len(b.seqs) {
-		if j >= len(b.seqs) || (i < len(a.seqs) && a.seqs[i] <= b.seqs[j]) {
-			seqs, points = append(seqs, a.seqs[i]), append(points, a.points[i])
-			i++
-		} else {
-			seqs, points = append(seqs, b.seqs[j]), append(points, b.points[j])
-			j++
-		}
-	}
-	a.seqs, a.points = seqs, points
-}
-
-func (a *SyncBandAccumulator) merge(b *SyncBandAccumulator) error {
-	if a.thresholdMonths != b.thresholdMonths || a.lo != b.lo || a.hi != b.hi {
-		return fmt.Errorf("sync band config mismatch (%dmo [%g,%g] vs %dmo [%g,%g])",
-			a.thresholdMonths, a.lo, a.hi, b.thresholdMonths, b.lo, b.hi)
-	}
+func (a *SyncBandAccumulator) merge(b *SyncBandAccumulator) {
 	a.inside += b.inside
 	a.outside += b.outside
-	return nil
 }
 
 func (a *AdvanceAccumulator) merge(b *AdvanceAccumulator) {
@@ -440,70 +445,13 @@ func (a *AlwaysAdvanceAccumulator) merge(b *AlwaysAdvanceAccumulator) {
 	a.total += b.total
 }
 
-func (a *AttainmentAccumulator) merge(b *AttainmentAccumulator) error {
-	if !floatsEqual(a.alphas, b.alphas) || !floatsEqual(a.rangeEdges, b.rangeEdges) {
-		return fmt.Errorf("attainment config mismatch (α=%v/%v vs α=%v/%v)",
-			a.alphas, a.rangeEdges, b.alphas, b.rangeEdges)
-	}
+func (a *AttainmentAccumulator) merge(b *AttainmentAccumulator) {
 	for i := range a.counts {
 		for j := range a.counts[i] {
 			a.counts[i][j] += b.counts[i][j]
 		}
 	}
 	a.total += b.total
-	return nil
-}
-
-func (a *LocalityAccumulator) merge(b *LocalityAccumulator) error {
-	if a.minTables != b.minTables {
-		return fmt.Errorf("locality floor mismatch (%d vs %d tables)", a.minTables, b.minTables)
-	}
-	if len(b.topShares) == 0 {
-		return nil
-	}
-	if len(a.topShares) == 0 {
-		a.seqs = append(a.seqs[:0], b.seqs...)
-		a.topShares = append(a.topShares[:0], b.topShares...)
-		a.unchangedShares = append(a.unchangedShares[:0], b.unchangedShares...)
-		return nil
-	}
-	seqs := make([]int64, 0, len(a.seqs)+len(b.seqs))
-	tops := make([]float64, 0, len(a.topShares)+len(b.topShares))
-	unch := make([]float64, 0, len(a.unchangedShares)+len(b.unchangedShares))
-	i, j := 0, 0
-	for i < len(a.seqs) || j < len(b.seqs) {
-		if j >= len(b.seqs) || (i < len(a.seqs) && a.seqs[i] <= b.seqs[j]) {
-			seqs, tops, unch = append(seqs, a.seqs[i]), append(tops, a.topShares[i]), append(unch, a.unchangedShares[i])
-			i++
-		} else {
-			seqs, tops, unch = append(seqs, b.seqs[j]), append(tops, b.topShares[j]), append(unch, b.unchangedShares[j])
-			j++
-		}
-	}
-	a.seqs, a.topShares, a.unchangedShares = seqs, tops, unch
-	return nil
-}
-
-func (a *StatsAccumulator) merge(b *StatsAccumulator) {
-	if len(b.rows) == 0 {
-		return
-	}
-	if len(a.rows) == 0 {
-		a.rows = append(a.rows[:0], b.rows...)
-		return
-	}
-	rows := make([]statsRow, 0, len(a.rows)+len(b.rows))
-	i, j := 0, 0
-	for i < len(a.rows) || j < len(b.rows) {
-		if j >= len(b.rows) || (i < len(a.rows) && a.rows[i].seq <= b.rows[j].seq) {
-			rows = append(rows, a.rows[i])
-			i++
-		} else {
-			rows = append(rows, b.rows[j])
-			j++
-		}
-	}
-	a.rows = rows
 }
 
 // merge folds b's corpus-wide parse-health aggregate into a. An empty
@@ -521,18 +469,6 @@ func (a *ParseHealthAccumulator) merge(b *ParseHealthAccumulator) {
 	a.summary.Total.Add(b.summary.Total)
 	a.summary.Projects += b.summary.Projects
 	a.summary.CleanProjects += b.summary.CleanProjects
-}
-
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // encodeIntsP and decodeIntsP are the int-slice counterparts of the

@@ -22,6 +22,19 @@ func sequentialFigures(t *testing.T, d *Dataset) *Figures {
 	return figs
 }
 
+// foldAt folds d's first len(seqs) projects, the i-th under corpus index
+// seqs[i], the way a shard worker folds the indices it owns.
+func foldAt(t *testing.T, d *Dataset, seqs ...int64) *Figures {
+	t.Helper()
+	figs := NewFigures()
+	for i, seq := range seqs {
+		if err := figs.AddAt(seq, d.Projects[i]); err != nil {
+			t.Fatalf("AddAt(%d): %v", seq, err)
+		}
+	}
+	return figs
+}
+
 // TestPartialFiguresMergeReproducesSequential is the merge-law property
 // test: for random disjoint partitions of the corpus index space and
 // random merge orders, folding each part into its own PartialFigures and
@@ -160,6 +173,63 @@ func TestDecodePartialFiguresRejectsCorruption(t *testing.T) {
 	trailing := append(append([]byte{}, enc...), 0x01)
 	if _, err := DecodePartialFigures(trailing); err == nil {
 		t.Error("trailing bytes should fail")
+	}
+}
+
+// TestDecodePartialFiguresRejectsUntrustedShapes: a partial is input
+// from another process, so the decoder refuses what no fold produces — a
+// v1 payload, sequence-keyed vectors out of corpus order, and vectors
+// that do not hold one entry per project — instead of letting the merge
+// build misordered or duplicated rows from it.
+func TestDecodePartialFiguresRejectsUntrustedShapes(t *testing.T) {
+	d := smallDataset(t, 5, 2)
+	if _, err := DecodePartialFigures(foldAt(t, d, 0, 3, 6).EncodePartial()); err != nil {
+		t.Fatalf("an ascending fold must decode: %v", err)
+	}
+
+	v1 := bytes.Replace(foldAt(t, d, 0, 3, 6).EncodePartial(), []byte(partialFiguresMagic), []byte("coevo/partial-figures/v1"), 1)
+	if _, err := DecodePartialFigures(v1); err == nil {
+		t.Error("a v1 payload decoded")
+	}
+	if _, err := DecodePartialFigures(foldAt(t, d, 0, 6, 3).EncodePartial()); err == nil {
+		t.Error("a partial folded out of corpus order decoded")
+	}
+	if _, err := DecodePartialFigures(foldAt(t, d, 0, 3, 3).EncodePartial()); err == nil {
+		t.Error("a partial holding one corpus index twice decoded")
+	}
+	short := foldAt(t, d, 0, 3, 6)
+	short.Stats.rows.seqs, short.Stats.rows.vals = short.Stats.rows.seqs[:2], short.Stats.rows.vals[:2]
+	if _, err := DecodePartialFigures(short.EncodePartial()); err == nil {
+		t.Error("a partial with fewer statistics rows than projects decoded")
+	}
+	extra := foldAt(t, d, 0, 3, 6)
+	extra.count++
+	if _, err := DecodePartialFigures(extra.EncodePartial()); err == nil {
+		t.Error("a partial with more projects than scatter points decoded")
+	}
+}
+
+// TestPartialFiguresMergeRefusesWithoutChange: two partials that fold
+// the same corpus index refuse to merge, as do partials under different
+// configurations, and a refused merge leaves the receiver as it was.
+func TestPartialFiguresMergeRefusesWithoutChange(t *testing.T) {
+	d := smallDataset(t, 5, 2)
+	f := foldAt(t, d, 0, 2, 4)
+	before := f.EncodePartial()
+	if err := f.Merge(foldAt(t, d, 1, 4)); err == nil {
+		t.Error("partials sharing corpus index 4 merged")
+	}
+	banded := foldAt(t, d, 1, 3)
+	banded.Band = NewSyncBandAccumulator(24, 0.2, 0.8)
+	banded.Band.Add(d.Projects[0])
+	if err := f.Merge(banded); err == nil {
+		t.Error("partials with different band configurations merged")
+	}
+	if !bytes.Equal(f.EncodePartial(), before) {
+		t.Error("a refused merge changed the receiver")
+	}
+	if err := f.Merge(foldAt(t, d, 1, 3)); err != nil {
+		t.Fatalf("disjoint partials must merge: %v", err)
 	}
 }
 

@@ -195,7 +195,5 @@ func RunStream(ctx context.Context, seed int64, opts Options, sink Sink) (*Strea
 	ctx, span := opts.Obs.StartSpan(ctx, "run")
 	defer span.End()
 	opts.Obs.Logger().Info("study: run starting", "seed", seed)
-	cfg := corpus.DefaultConfig(seed)
-	cfg.Obs = opts.Obs
-	return StreamCorpus(ctx, corpus.NewSource(cfg), sink, opts)
+	return StreamCorpus(ctx, corpus.NewSource(corpus.DefaultConfig(seed)), sink, opts)
 }

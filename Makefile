@@ -76,7 +76,10 @@ FUZZTIME ?= 30s
 # FuzzParseLenient sweeps every dialect (plus Auto) per input.
 # FuzzPartialFiguresCodec hammers the sharded-study partial-figures
 # decoder: no panic on arbitrary bytes, canonical re-encoding idempotent.
+# FuzzParse holds gitlog.Parse to the scanner-based reference parser and
+# round-trips every log it accepts through Emit.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParseLenient -fuzztime $(FUZZTIME) ./internal/sqlddl
 	$(GO) test -run NONE -fuzz FuzzCompare -fuzztime $(FUZZTIME) ./internal/schemadiff
 	$(GO) test -run NONE -fuzz FuzzPartialFiguresCodec -fuzztime $(FUZZTIME) ./internal/study
+	$(GO) test -run NONE -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/gitlog

@@ -51,65 +51,153 @@ type ParseError struct {
 
 func (e *ParseError) Error() string { return fmt.Sprintf("gitlog: line %d: %s", e.Line, e.Msg) }
 
+// maxLine bounds a line of the log, its newline included: the buffer
+// limit of the bufio.Scanner this parser once read through. A longer
+// line still fails with that scanner's error.
+const maxLine = 4 * 1024 * 1024
+
 // Parse reads a complete `git log --name-status --date=iso` stream and
 // returns its entries in the order they appear (git's default: newest
 // first).
+//
+// The log is read once into one string and walked line by line. Every
+// Hash, Author, Email, path and single-line Message is a substring of
+// that string, and the entries and all of their change lists are carved
+// from two slices sized by a counting pass, each list capped at its
+// length (nil when the entry has none). A held Entry therefore keeps
+// the whole log text and both slices alive.
 func Parse(r io.Reader) ([]Entry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	text, readErr := readAll(r)
+	entries, err := parseText(text)
+	if err != nil {
+		return nil, err
+	}
+	if readErr != nil {
+		// Like a scanner, parse what arrived before reporting the failure.
+		return nil, fmt.Errorf("gitlog: reading input: %w", readErr)
+	}
+	return entries, nil
+}
+
+// readAll copies r into one string. A reader that writes itself out
+// in one call, as strings, bytes and buffer readers do through
+// io.WriterTo, costs one allocation.
+func readAll(r io.Reader) (string, error) {
+	var b strings.Builder
+	_, err := io.Copy(&b, r)
+	return b.String(), err
+}
+
+// nextLine returns the line of text that starts at pos, as
+// bufio.ScanLines cuts it (no newline, one trailing '\r' dropped), its
+// width before the drop, and the offset of the line after it.
+func nextLine(text string, pos int) (line string, width, next int) {
+	end := strings.IndexByte(text[pos:], '\n')
+	if end < 0 {
+		end, next = len(text), len(text)
+	} else {
+		end += pos
+		next = end + 1
+	}
+	line = text[pos:end]
+	width = len(line)
+	if width > 0 && line[width-1] == '\r' {
+		line = line[:width-1]
+	}
+	return line, width, next
+}
+
+// isChangeLine reports whether a line inside an entry is a name-status
+// line: anything but a header, an indented message line or a blank.
+func isChangeLine(line string) bool {
+	return line != "" &&
+		!strings.HasPrefix(line, "Merge: ") &&
+		!strings.HasPrefix(line, "Author: ") &&
+		!strings.HasPrefix(line, "Date: ") &&
+		!strings.HasPrefix(line, "    ")
+}
+
+// parseText parses a whole log held in one string.
+func parseText(text string) ([]Entry, error) {
+	// Counting pass: one entry per commit line and one change per
+	// name-status line after the first commit line, so the walk below
+	// never grows either slice.
+	var nEntries, nChanges int
+	for pos := 0; pos < len(text); {
+		line, _, next := nextLine(text, pos)
+		pos = next
+		if strings.HasPrefix(line, "commit ") {
+			nEntries++
+		} else if nEntries > 0 && isChangeLine(line) {
+			nChanges++
+		}
+	}
 
 	var (
-		entries []Entry
+		entries []Entry // nil when the log has no entry, as before
+		changes = make([]vcs.FileChange, 0, nChanges)
 		cur     *Entry
-		msg     []string
+		first   int      // index in changes of cur's first change
+		msg     []string // cur's message lines, reused across entries
 		lineNo  int
 	)
-	flush := func() {
+	if nEntries > 0 {
+		entries = make([]Entry, 0, nEntries)
+	}
+	finish := func() {
 		if cur == nil {
 			return
 		}
-		cur.Message = strings.TrimRight(strings.Join(msg, "\n"), "\n")
-		entries = append(entries, *cur)
-		cur = nil
-		msg = nil
+		// Trailing blank lines are dropped; Join returns a lone line
+		// itself and joins more into one string of exact size.
+		for len(msg) > 0 && msg[len(msg)-1] == "" {
+			msg = msg[:len(msg)-1]
+		}
+		cur.Message = strings.Join(msg, "\n")
+		if n := len(changes); n > first {
+			cur.Changes = changes[first:n:n]
+		}
 	}
-
-	for sc.Scan() {
+	for pos := 0; pos < len(text); {
 		lineNo++
-		line := sc.Text()
+		line, width, next := nextLine(text, pos)
+		if width >= maxLine {
+			return nil, fmt.Errorf("gitlog: reading input: %w", bufio.ErrTooLong)
+		}
 		switch {
 		case strings.HasPrefix(line, "commit "):
-			flush()
-			rest := strings.TrimPrefix(line, "commit ")
-			// Decorations like "(HEAD -> main, tag: v1)" may follow.
-			hash, _, _ := strings.Cut(rest, " ")
+			finish()
+			// Decorations like "(HEAD -> main, tag: v1)" may follow. A
+			// '\r' ending the hash would read back as a CRLF line end.
+			hash, _, _ := strings.Cut(line[len("commit "):], " ")
+			hash = strings.TrimRight(hash, "\r")
 			if hash == "" {
 				return nil, &ParseError{lineNo, "empty commit hash"}
 			}
-			cur = &Entry{Hash: hash}
+			entries = append(entries, Entry{Hash: hash})
+			cur, first, msg = &entries[len(entries)-1], len(changes), msg[:0]
 		case cur == nil:
-			if strings.TrimSpace(line) == "" {
-				continue
+			if strings.TrimSpace(line) != "" {
+				return nil, &ParseError{lineNo, fmt.Sprintf("unexpected content before first commit: %q", line)}
 			}
-			return nil, &ParseError{lineNo, fmt.Sprintf("unexpected content before first commit: %q", line)}
 		case strings.HasPrefix(line, "Merge: "):
-			cur.MergeHashes = strings.Fields(strings.TrimPrefix(line, "Merge: "))
+			cur.MergeHashes = strings.Fields(line[len("Merge: "):])
 		case strings.HasPrefix(line, "Author: "):
-			author := strings.TrimPrefix(line, "Author: ")
+			author := line[len("Author: "):]
 			name, email, ok := splitAuthor(author)
 			if !ok {
 				return nil, &ParseError{lineNo, fmt.Sprintf("malformed author: %q", author)}
 			}
 			cur.Author, cur.Email = name, email
 		case strings.HasPrefix(line, "Date: "):
-			raw := strings.TrimSpace(strings.TrimPrefix(line, "Date: "))
+			raw := strings.TrimSpace(line[len("Date: "):])
 			ts, err := parseDate(raw)
 			if err != nil {
 				return nil, &ParseError{lineNo, fmt.Sprintf("malformed date %q: %v", raw, err)}
 			}
 			cur.Date = ts
 		case strings.HasPrefix(line, "    "):
-			msg = append(msg, strings.TrimPrefix(line, "    "))
+			msg = append(msg, line[len("    "):])
 		case line == "":
 			// blank separator between header, message, and change list
 		default:
@@ -117,13 +205,11 @@ func Parse(r io.Reader) ([]Entry, error) {
 			if err != nil {
 				return nil, &ParseError{lineNo, err.Error()}
 			}
-			cur.Changes = append(cur.Changes, ch)
+			changes = append(changes, ch)
 		}
+		pos = next
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("gitlog: reading input: %w", err)
-	}
-	flush()
+	finish()
 	return entries, nil
 }
 
@@ -142,7 +228,13 @@ func parseDate(raw string) (time.Time, error) {
 	for _, layout := range dateLayouts {
 		ts, err := time.Parse(layout, raw)
 		if err == nil {
-			return ts.UTC(), nil
+			// Emit writes a UTC date with a four-digit year, so a date
+			// whose UTC year has more or fewer could not be read back.
+			ts = ts.UTC()
+			if y := ts.Year(); y < 0 || y > 9999 {
+				return time.Time{}, fmt.Errorf("UTC year %d is outside 0000-9999", y)
+			}
+			return ts, nil
 		}
 		if firstErr == nil {
 			firstErr = err
@@ -155,29 +247,32 @@ func parseDate(raw string) (time.Time, error) {
 //
 //	M\tpath/to/file
 //	R100\told\tnew
+//
+// cutting at tabs; fields past the ones a status reads are ignored.
 func parseChangeLine(line string) (vcs.FileChange, error) {
-	fields := strings.Split(line, "\t")
-	if len(fields) < 2 {
+	status, rest, ok := strings.Cut(line, "\t")
+	if !ok {
 		return vcs.FileChange{}, fmt.Errorf("malformed name-status line: %q", line)
 	}
-	status := fields[0]
 	if status == "" {
 		return vcs.FileChange{}, fmt.Errorf("empty status in line: %q", line)
 	}
+	path, rest, more := strings.Cut(rest, "\t")
 	switch status[0] {
 	case 'A':
-		return vcs.FileChange{Status: vcs.Added, Path: fields[1]}, nil
+		return vcs.FileChange{Status: vcs.Added, Path: path}, nil
 	case 'M':
-		return vcs.FileChange{Status: vcs.Modified, Path: fields[1]}, nil
+		return vcs.FileChange{Status: vcs.Modified, Path: path}, nil
 	case 'D':
-		return vcs.FileChange{Status: vcs.Deleted, Path: fields[1]}, nil
+		return vcs.FileChange{Status: vcs.Deleted, Path: path}, nil
 	case 'R', 'C':
-		if len(fields) < 3 {
+		if !more {
 			return vcs.FileChange{}, fmt.Errorf("rename/copy without destination: %q", line)
 		}
-		return vcs.FileChange{Status: vcs.Renamed, OldPath: fields[1], Path: fields[2]}, nil
+		dest, _, _ := strings.Cut(rest, "\t")
+		return vcs.FileChange{Status: vcs.Renamed, OldPath: path, Path: dest}, nil
 	case 'T': // type change (e.g. file became symlink); treat as modification
-		return vcs.FileChange{Status: vcs.Modified, Path: fields[1]}, nil
+		return vcs.FileChange{Status: vcs.Modified, Path: path}, nil
 	default:
 		return vcs.FileChange{}, fmt.Errorf("unknown status %q in line: %q", status, line)
 	}

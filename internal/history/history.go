@@ -355,7 +355,7 @@ func ProjectHistoryFromLog(entries []gitlog.Entry) (*ProjectHistory, error) {
 	if len(entries) == 0 {
 		return nil, ErrEmptyRepo
 	}
-	p := &ProjectHistory{}
+	p := &ProjectHistory{Commits: make([]ProjectCommit, 0, len(entries))}
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i]
 		if e.IsMerge() {

@@ -21,6 +21,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"coevo/internal/atomicfile"
@@ -131,15 +132,18 @@ func NewID(start time.Time) string {
 // NewManifest starts a manifest for a run beginning now, with the build
 // and host provenance already stamped.
 func NewManifest(command string, start time.Time) *Manifest {
-	m := &Manifest{
-		ID:         NewID(start),
-		Command:    command,
-		Start:      start.UTC(),
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUModel:   cpuModel(),
-	}
+	m := provenance()
+	m.ID, m.Command, m.Start = NewID(start), command, start.UTC()
+	m.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	return &m
+}
+
+// provenance is a manifest holding only the build and host provenance
+// that cannot change while the process runs. It is read once: the job
+// service seals a manifest per job, and /proc/cpuinfo grows with the
+// core count.
+var provenance = sync.OnceValue(func() Manifest {
+	m := Manifest{GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(), CPUModel: cpuModel()}
 	if host, err := os.Hostname(); err == nil {
 		m.Hostname = host
 	}
@@ -155,7 +159,7 @@ func NewManifest(command string, start time.Time) *Manifest {
 		}
 	}
 	return m
-}
+})
 
 // Finish stamps the end time, duration and outcome. A nil runErr is
 // "ok"; a context cancellation reads as "interrupted"; anything else is

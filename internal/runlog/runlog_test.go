@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,25 @@ func TestManifestLifecycle(t *testing.T) {
 	// Distinct runs started the same instant still get distinct ids.
 	if NewID(start) == NewID(start) {
 		t.Error("NewID collides for identical start times")
+	}
+}
+
+// TestManifestProvenanceReadOnce: the build and host provenance is read
+// once per process, so any two manifests carry the same, and it is this
+// host's.
+func TestManifestProvenanceReadOnce(t *testing.T) {
+	start := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
+	a, b := NewManifest("study", start), NewManifest("job", start.Add(time.Hour))
+	pa := []any{a.GoVersion, a.ModuleVersion, a.VCSRevision, a.VCSModified, a.Hostname, a.NumCPU, a.CPUModel}
+	pb := []any{b.GoVersion, b.ModuleVersion, b.VCSRevision, b.VCSModified, b.Hostname, b.NumCPU, b.CPUModel}
+	if !reflect.DeepEqual(pa, pb) {
+		t.Errorf("provenance differs between manifests:\n%v\n%v", pa, pb)
+	}
+	if host, err := os.Hostname(); err == nil && a.Hostname != host {
+		t.Errorf("hostname %q, want %q", a.Hostname, host)
+	}
+	if want := cpuModel(); a.CPUModel != want {
+		t.Errorf("CPU model %q, want %q", a.CPUModel, want)
 	}
 }
 

@@ -20,8 +20,9 @@ package study
 // A partial is input from another process, so both laws are enforced,
 // not assumed: decoding refuses vectors that are not in strictly
 // ascending sequence order or that do not hold one entry per folded
-// project, and Merge refuses a sequence number present on both sides (a
-// project folded twice) before it changes anything.
+// project, and counters that no fold of that many projects produces;
+// Merge refuses a sequence number present on both sides (a project
+// folded twice) before it changes anything.
 //
 // Partials travel between processes through a versioned binary codec
 // built on the cache codec (internal/cache.Enc/Dec), the same idiom the
@@ -213,8 +214,8 @@ func (f *Figures) EncodePartial() []byte {
 // DecodePartialFigures rebuilds a PartialFigures from its serialized
 // form. Any malformed input — wrong magic, truncated fields, trailing
 // bytes, impossible shapes, sequence-keyed vectors out of order or not
-// one entry per project — is an error, never a panic or a silently
-// partial decode.
+// one entry per project, counters that do not fit the project count —
+// is an error, never a panic or a silently partial decode.
 func DecodePartialFigures(data []byte) (*PartialFigures, error) {
 	d := cache.NewDec(data)
 	if magic := d.String(); magic != partialFiguresMagic {
@@ -334,7 +335,72 @@ func DecodePartialFigures(data []byte) (*PartialFigures, error) {
 	if !ascending(f.Scatter.points.seqs) || !ascending(f.Stats.rows.seqs) {
 		return nil, errors.New("study: partial figures: corpus indices not strictly increasing")
 	}
+	if what := f.miscounted(); what != "" {
+		return nil, fmt.Errorf("study: partial figures: %s do not fit %d projects", what, f.count)
+	}
 	return f, nil
+}
+
+// miscounted names the first counter group no fold of f.count projects
+// produces, or returns "". Each accumulator's Add counts a project
+// exactly once in some counters: a histogram bucket or Skipped; an
+// advance range or blank, on both axes alike; its taxon's
+// always-in-advance cell; the advance, always-in-advance, attainment and
+// parse-health totals. It counts a project at most once in others: the
+// band, each α's attainment row, a cell's always-ahead counts and the
+// clean projects.
+func (f *Figures) miscounted() string {
+	n := f.count
+	if sumProjects(n, f.Sync.h.Buckets, f.Sync.h.Skipped) != n {
+		return "histogram buckets"
+	}
+	if s := sumProjects(n, nil, f.Band.inside, f.Band.outside); s < 0 || s > n {
+		return "band counts"
+	}
+	a := f.Advance
+	if a.total != n || a.blankSource != a.blankTime ||
+		sumProjects(n, a.srcCounts, a.blankSource) != n || sumProjects(n, a.timeCounts, a.blankTime) != n {
+		return "advance counts"
+	}
+	w := f.Always
+	projects, ahead, aheadSource, aheadBoth := 0, 0, 0, 0
+	for _, c := range w.cells {
+		if sumProjects(n, nil, c.Projects) < 0 || sumProjects(c.Projects, nil, c.Time, c.Source, c.Both) < 0 {
+			return "always-in-advance cells"
+		}
+		projects, ahead, aheadSource, aheadBoth = projects+c.Projects, ahead+c.Time, aheadSource+c.Source, aheadBoth+c.Both
+	}
+	if w.total != n || projects != n || w.time != ahead || w.source != aheadSource || w.both != aheadBoth {
+		return "always-in-advance counts"
+	}
+	if f.Attainment.total != n {
+		return "attainment counts"
+	}
+	for _, row := range f.Attainment.counts {
+		if s := sumProjects(n, row); s < 0 || s > n {
+			return "attainment counts"
+		}
+	}
+	if h := f.Health.summary; h.Projects != n || sumProjects(n, nil, h.CleanProjects) < 0 {
+		return "parse-health project counts"
+	}
+	return ""
+}
+
+// sumProjects adds counters that each count some of n projects, or
+// returns -1 if one is negative or above n (which also keeps the sum of
+// adversarial values from overflowing).
+func sumProjects(n int, counts []int, more ...int) int {
+	sum := 0
+	for _, group := range [2][]int{counts, more} {
+		for _, c := range group {
+			if c < 0 || c > n {
+				return -1
+			}
+			sum += c
+		}
+	}
+	return sum
 }
 
 // bucketLabels rebuilds a histogram's bucket labels from its width.

@@ -209,6 +209,63 @@ func TestDecodePartialFiguresRejectsUntrustedShapes(t *testing.T) {
 	}
 }
 
+// TestDecodePartialFiguresRejectsMiscountedCounters: every counter a
+// fold adds once per project must count the partial's projects, and no
+// counter a fold adds at most once may exceed them. The first case once
+// decoded: a 2-project partial with 1,000 added to its advance total,
+// parse-health project count and first histogram bucket merged into a
+// 3-project Figures, which then reported 1,005 projects in Figure 6 and
+// the parse-health report while Count() read 5.
+func TestDecodePartialFiguresRejectsMiscountedCounters(t *testing.T) {
+	d := smallDataset(t, 5, 2)
+	whole := foldAt(t, d, 0, 2, 4)
+	part, err := DecodePartialFigures(foldAt(t, d, 1, 3).EncodePartial())
+	if err != nil {
+		t.Fatalf("a fold's partial must decode: %v", err)
+	}
+	if err := whole.Merge(part); err != nil {
+		t.Fatalf("disjoint partials must merge: %v", err)
+	}
+	if got := []int{whole.Count(), whole.Advance.Table().Total, whole.Health.Summary().Projects}; !reflect.DeepEqual(got, []int{5, 5, 5}) {
+		t.Errorf("merged count, Figure 6 total, parse-health projects = %v, want 5 each", got)
+	}
+
+	skews := []struct {
+		name string
+		skew func(f *Figures)
+	}{
+		{"advance total, parse-health projects and first bucket", func(f *Figures) {
+			f.Advance.total += 1000
+			f.Health.summary.Projects += 1000
+			f.Sync.h.Buckets[0] += 1000
+		}},
+		{"advance total", func(f *Figures) { f.Advance.total += 1000 }},
+		{"parse-health projects", func(f *Figures) { f.Health.summary.Projects += 1000 }},
+		{"first bucket", func(f *Figures) { f.Sync.h.Buckets[0] += 1000 }},
+		{"skipped", func(f *Figures) { f.Sync.h.Skipped++ }},
+		{"a negative bucket the next one balances", func(f *Figures) {
+			f.Sync.h.Buckets[1] += f.Sync.h.Buckets[0] + 1000
+			f.Sync.h.Buckets[0] = -1000
+		}},
+		{"band", func(f *Figures) { f.Band.inside += 1000 }},
+		{"blank on one advance axis", func(f *Figures) { f.Advance.blankTime++ }},
+		{"advance range", func(f *Figures) { f.Advance.srcCounts[0]++ }},
+		{"always-in-advance cell", func(f *Figures) { f.Always.cells[0].Projects += 1000 }},
+		{"always-in-advance total", func(f *Figures) { f.Always.total++ }},
+		{"always ahead of time", func(f *Figures) { f.Always.time++ }},
+		{"attainment total", func(f *Figures) { f.Attainment.total += 1000 }},
+		{"attainment row", func(f *Figures) { f.Attainment.counts[0][0] += 1000 }},
+		{"clean projects", func(f *Figures) { f.Health.summary.CleanProjects += 1000 }},
+	}
+	for _, tc := range skews {
+		f := foldAt(t, d, 1, 3)
+		tc.skew(f)
+		if _, err := DecodePartialFigures(f.EncodePartial()); err == nil {
+			t.Errorf("%s: a miscounted partial decoded", tc.name)
+		}
+	}
+}
+
 // TestPartialFiguresMergeRefusesWithoutChange: two partials that fold
 // the same corpus index refuse to merge, as do partials under different
 // configurations, and a refused merge leaves the receiver as it was.
